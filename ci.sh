@@ -14,6 +14,13 @@ echo "== tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
+# Every crate's unit and integration tests, in a clean env: tier-1 runs
+# only the root package, and several suites (the lio-mpi and lio-obs
+# tests, lio-core's zerocopy/atomic/etype/independent/property/profile
+# binaries) are in none of the env-matrix reruns below.
+echo "== cargo test -q --workspace"
+cargo test -q --workspace
+
 # The collective suites again with the pipeline override forced both
 # ways, so every differential case runs both the monolithic and the
 # pipelined schedule regardless of per-test hints. (pipeline_mem is

@@ -98,8 +98,8 @@ fn bench_unpack() {
     }
 }
 
-/// Pack through a deep nested type (no strided fast path): the generic
-/// FlatIter path vs the ol-list.
+/// Pack through a deep nested type (a multi-frame run program, not one
+/// strided frame): the listless `ff_pack` vs the ol-list.
 fn bench_pack_nested() {
     let mut g = Group::new("pack_nested");
     g.sample_size(20);
@@ -429,8 +429,8 @@ fn bench_pack_compiled(entries: &mut Vec<Entry>) {
             bytes: total as u64,
         });
 
-        // the compiled interpreter, bypassing the strided fast path so
-        // flat shapes measure the program too
+        // the compiled interpreter called directly, without the ff_pack
+        // wrapper's call counters
         let prog = d.program();
         let s = g.bench(format!("compiled/{name}"), || {
             prog.pack_into(black_box(&src), 0, count, 0, black_box(&mut out));
@@ -442,7 +442,7 @@ fn bench_pack_compiled(entries: &mut Vec<Entry>) {
             bytes: total as u64,
         });
 
-        // the shipped single-threaded entry (strided fast path or program)
+        // the shipped single-threaded entry (the same run program)
         let s = g.bench(format!("ff_pack/{name}"), || {
             ff_pack(black_box(&src), count, &d, 0, black_box(&mut out));
         });

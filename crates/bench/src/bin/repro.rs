@@ -835,7 +835,7 @@ fn metrics(opts: &Opts) {
             let me = comm.rank() as u64;
             let mut f = File::open(comm, shared2.clone(), hints).expect("open");
             if hints.pack_threads > 1 {
-                // vector-of-vector memtype, no strided fast path, with
+                // vector-of-vector memtype (a two-frame program), with
                 // ≥ 1 MiB of data per rank so the copy shards
                 let inner = Datatype::vector(16, 1, 2, &Datatype::basic(64)).unwrap();
                 let mem = Datatype::vector(shard_n, 1, 2, &inner).unwrap();

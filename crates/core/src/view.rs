@@ -14,15 +14,14 @@
 //!   ol-list, searched **linearly from the start** on every navigation
 //!   (the `O(Nblock/2)`-per-access cost of Section 2.2).
 //! * `FfNav` — listless: flattening-on-the-fly navigation in
-//!   `O(depth · log k)` and lazily-seeked run iteration (Section 3).
+//!   `O(depth · log k)`, and window copies through the filetype's
+//!   compiled run program, entered at any stream byte in `O(depth)`
+//!   (Section 3).
 
 use std::sync::Arc;
 
 use lio_datatype::typemap::Run;
-use lio_datatype::{
-    bytes_below_tiled, ff_offset, strided_pack, strided_unpack, Datatype, FlatIter, OlList,
-    StridedSpec,
-};
+use lio_datatype::{bytes_below_tiled, ff_offset, Datatype, OlList, RunProgram};
 
 use crate::error::{IoError, Result};
 
@@ -359,20 +358,31 @@ impl Iterator for ListRuns<'_> {
 // ---------------------------------------------------------------------
 
 /// Listless navigator: no materialized representation beyond the
-/// `O(1)`-size canonical strided form (when the filetype reduces to one).
+/// filetype's compiled run program (cached on the datatype node).
 pub(crate) struct FfNav {
     pub view: FileView,
-    /// The flattening-on-the-fly copy batch descriptor, if applicable.
-    strided: Option<StridedSpec>,
 }
 
 impl FfNav {
     pub fn new(view: FileView) -> FfNav {
-        let strided = view.filetype.as_strided();
-        FfNav { view, strided }
+        FfNav { view }
     }
 
-    /// Place stream data into a window (strided fast path when possible).
+    /// Stream bytes from `stream0` up to the end of the window ending at
+    /// absolute offset `win_end`, capped at `want`: the `O(depth)` clamp
+    /// that makes the program copy stop at the window end.
+    fn window_bytes(&self, stream0: u64, win_end: u64, want: usize) -> usize {
+        let avail = self.abs_to_stream(win_end).saturating_sub(stream0);
+        (want as u64).min(avail) as usize
+    }
+
+    /// Typemap displacement of the window's first byte.
+    fn buf_disp(&self, win_start: u64) -> i64 {
+        win_start as i64 - self.view.disp as i64
+    }
+
+    /// Place stream data into a window through the filetype's run
+    /// program.
     pub fn place_window(
         &self,
         data: &[u8],
@@ -380,36 +390,22 @@ impl FfNav {
         filebuf: &mut [u8],
         win_start: u64,
     ) -> usize {
-        if let Some(spec) = &self.strided {
-            let buf_disp = win_start as i64 - self.view.disp as i64;
-            let n = strided_unpack(
-                &spec.clone(),
-                self.view.filetype.extent(),
-                filebuf,
-                buf_disp,
-                u64::MAX,
-                stream0,
-                data,
-            );
-            // the fast path never materializes runs, so account for the
-            // regular pattern as a batch (a dense spec is one big run)
-            if spec.stride.unsigned_abs() == spec.block {
-                lio_obs::profile::record_run(n as u64, 0, true);
-            } else {
-                lio_obs::profile::record_strided(
-                    spec.block,
-                    spec.stride.unsigned_abs(),
-                    (n as u64).div_ceil(spec.block.max(1)),
-                );
-            }
-            return n;
-        }
-        let needed = stream0 + data.len() as u64;
-        let runs = self.runs_from(stream0, needed);
-        place_runs(runs, data, filebuf, win_start)
+        let win_end = win_start + filebuf.len() as u64;
+        let n = self.window_bytes(stream0, win_end, data.len());
+        let prog = self.view.filetype.program();
+        let (n, runs) = prog.unpack_into(
+            &data[..n],
+            filebuf,
+            self.buf_disp(win_start),
+            u64::MAX,
+            stream0,
+        );
+        profile_window(prog, n, runs);
+        n
     }
 
-    /// Extract window bytes into `out` (strided fast path when possible).
+    /// Extract window bytes into `out` through the filetype's run
+    /// program.
     pub fn extract_window(
         &self,
         filebuf: &[u8],
@@ -417,31 +413,18 @@ impl FfNav {
         stream0: u64,
         out: &mut [u8],
     ) -> usize {
-        if let Some(spec) = &self.strided {
-            let buf_disp = win_start as i64 - self.view.disp as i64;
-            let n = strided_pack(
-                &spec.clone(),
-                self.view.filetype.extent(),
-                filebuf,
-                buf_disp,
-                u64::MAX,
-                stream0,
-                out,
-            );
-            if spec.stride.unsigned_abs() == spec.block {
-                lio_obs::profile::record_run(n as u64, 0, true);
-            } else {
-                lio_obs::profile::record_strided(
-                    spec.block,
-                    spec.stride.unsigned_abs(),
-                    (n as u64).div_ceil(spec.block.max(1)),
-                );
-            }
-            return n;
-        }
-        let needed = stream0 + out.len() as u64;
-        let runs = self.runs_from(stream0, needed);
-        extract_runs(runs, filebuf, win_start, out)
+        let win_end = win_start + filebuf.len() as u64;
+        let n = self.window_bytes(stream0, win_end, out.len());
+        let prog = self.view.filetype.program();
+        let (n, runs) = prog.pack_into(
+            filebuf,
+            self.buf_disp(win_start),
+            u64::MAX,
+            stream0,
+            &mut out[..n],
+        );
+        profile_window(prog, n, runs);
+        n
     }
 
     pub fn stream_to_abs(&self, stream: u64) -> u64 {
@@ -454,46 +437,63 @@ impl FfNav {
         }
         bytes_below_tiled(&self.view.filetype, (abs - self.view.disp) as i64)
     }
+}
 
-    /// Iterator over absolute-offset runs from stream position `stream0`,
-    /// valid until stream position `stream_hi`. Construction costs
-    /// `O(depth)`.
-    pub fn runs_from(&self, stream0: u64, stream_hi: u64) -> FfRuns<'_> {
-        let fsize = self.view.filetype.size();
-        let count = stream_hi / fsize + 2;
-        FfRuns {
-            disp: self.view.disp,
-            iter: FlatIter::with_skip(&self.view.filetype, count, stream0),
-        }
+/// Feed the access-pattern profiler the file-run geometry of one window
+/// copy of `n` bytes in `runs` runs. The program never materializes runs,
+/// so its shape stands in: a single dense frame is one contiguous run, a
+/// single strided frame a regular batch, anything else `runs` runs of
+/// their mean length.
+fn profile_window(prog: &RunProgram, n: usize, runs: u64) {
+    if !lio_obs::profile::enabled() || n == 0 {
+        return;
     }
-}
-
-/// Absolute-run iterator driven by flattening-on-the-fly.
-pub(crate) struct FfRuns<'a> {
-    disp: u64,
-    iter: FlatIter<'a>,
-}
-
-impl Iterator for FfRuns<'_> {
-    type Item = Run;
-
-    fn next(&mut self) -> Option<Run> {
-        self.iter.next_run().map(|r| Run {
-            disp: r.disp + self.disp as i64,
-            len: r.len,
-        })
+    let n = n as u64;
+    match prog.single_frame() {
+        Some((block, stride)) if stride.unsigned_abs() == block => {
+            lio_obs::profile::record_run(n, 0, true)
+        }
+        Some((block, stride)) => {
+            lio_obs::profile::record_strided(block, stride.unsigned_abs(), n.div_ceil(block))
+        }
+        None => lio_obs::profile::record_runs(runs, n),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lio_datatype::typemap::expand;
     use lio_datatype::Datatype;
+    use lio_testkit::Rng;
 
     fn sample_view(disp: u64) -> FileView {
         // blocks of 8 bytes at 0, 16, 32 within a 40-byte extent
         let ft = Datatype::vector(3, 1, 2, &Datatype::double()).unwrap();
         FileView::new(disp, Datatype::double(), ft).unwrap()
+    }
+
+    /// Blocks of 12, 4 and 8 bytes at 0, 20 and 36 within a 44-byte
+    /// extent, so the last block of one instance touches the first block
+    /// of the next. A ragged hindexed does not reduce to one strided
+    /// frame: its program is a literal tail.
+    fn ragged_view(disp: u64) -> FileView {
+        let ft = Datatype::indexed(&[3, 1, 2], &[0, 5, 9], &Datatype::int()).unwrap();
+        assert!(ft.program().single_frame().is_none());
+        FileView::new(disp, Datatype::int(), ft).unwrap()
+    }
+
+    /// The sample vector resized to a 48-byte extent: its blocks keep a
+    /// 16-byte stride across instances (the Figure 4 shape), so the
+    /// program tiles as one unbounded frame.
+    fn tiled_view(disp: u64) -> FileView {
+        let v = Datatype::vector(3, 1, 2, &Datatype::double()).unwrap();
+        FileView::new(
+            disp,
+            Datatype::double(),
+            Datatype::resized(&v, 0, 48).unwrap(),
+        )
+        .unwrap()
     }
 
     fn both_navs(view: FileView) -> (ListNav, FfNav) {
@@ -554,17 +554,6 @@ mod tests {
     }
 
     #[test]
-    fn runs_iterators_agree() {
-        let view = sample_view(64);
-        let (ln, fn_) = both_navs(view);
-        for stream0 in 0..48 {
-            let a: Vec<Run> = ln.runs_from(stream0).take(8).collect();
-            let b: Vec<Run> = fn_.runs_from(stream0, stream0 + 200).take(8).collect();
-            assert_eq!(a, b, "stream0 {stream0}");
-        }
-    }
-
-    #[test]
     fn place_and_extract_roundtrip() {
         let view = sample_view(0);
         let nav = ViewNav::Ff(FfNav::new(view));
@@ -582,6 +571,29 @@ mod tests {
         let mut out = vec![0u8; 24];
         let got = nav.extract_from_window(&filebuf, 0, 0, &mut out);
         assert_eq!(got, 24);
+        assert_eq!(out, data);
+
+        // the same on a filetype whose program is not one strided frame
+        let view = ragged_view(0);
+        let ft = view.filetype.clone();
+        let nav = ViewNav::Ff(FfNav::new(view));
+        // two instances, so the copy crosses the touching instance seam
+        let size = 2 * ft.size() as usize;
+        let data: Vec<u8> = (1..=size as u8).collect();
+        let mut filebuf = vec![0u8; 2 * ft.extent() as usize];
+        assert_eq!(nav.place_into_window(&data, 0, &mut filebuf, 0), size);
+        // every data run holds its stream bytes in order; gaps untouched
+        let mut expect = vec![0u8; filebuf.len()];
+        let mut next = data.iter();
+        for r in expand(&ft, 2) {
+            for b in &mut expect[r.disp as usize..(r.disp as u64 + r.len) as usize] {
+                *b = *next.next().unwrap();
+            }
+        }
+        assert_eq!(filebuf, expect);
+
+        let mut out = vec![0u8; size];
+        assert_eq!(nav.extract_from_window(&filebuf, 0, 0, &mut out), size);
         assert_eq!(out, data);
     }
 
@@ -606,6 +618,26 @@ mod tests {
             assert_eq!(&filebuf2[0..4], &data[12..16]); // rest of block 1
             assert_eq!(&filebuf2[12..20], &data[16..24]); // block 2
         }
+
+        let view = ragged_view(0);
+        for nav in [
+            ViewNav::List(ListNav::new(view.clone())),
+            ViewNav::Ff(FfNav::new(view.clone())),
+        ] {
+            let data: Vec<u8> = (1..=24).collect();
+            // window [0, 8) ends inside block 0 ([0, 12))
+            let mut filebuf = vec![0u8; 8];
+            assert_eq!(nav.place_into_window(&data, 0, &mut filebuf, 0), 8);
+            assert_eq!(filebuf, &data[0..8]);
+            // window [8, 40): rest of block 0, block 1, start of block 2
+            let mut filebuf2 = vec![0u8; 32];
+            assert_eq!(nav.place_into_window(&data[8..], 8, &mut filebuf2, 8), 12);
+            assert_eq!(&filebuf2[0..4], &data[8..12]);
+            assert_eq!(&filebuf2[12..16], &data[12..16]);
+            assert_eq!(&filebuf2[28..32], &data[16..20]);
+            assert_eq!(&filebuf2[4..12], &[0; 8]);
+            assert_eq!(&filebuf2[16..28], &[0; 12]);
+        }
     }
 
     #[test]
@@ -624,6 +656,63 @@ mod tests {
             let placed = nav.place_into_window(&data, stream0, &mut filebuf, 10);
             assert_eq!(placed, 8);
             assert_eq!(&filebuf[6..14], &data);
+        }
+
+        let view = ragged_view(0);
+        for nav in [
+            ViewNav::List(ListNav::new(view.clone())),
+            ViewNav::Ff(FfNav::new(view.clone())),
+        ] {
+            // window [14, 34): gap, block 1 ([20, 24)), gap
+            assert_eq!(nav.bytes_in(14, 34), 4);
+            let stream0 = nav.abs_to_stream(14);
+            assert_eq!(stream0, 12);
+            let data = [1u8, 2, 3, 4, 5, 6, 7, 8];
+            let mut filebuf = vec![9u8; 20];
+            assert_eq!(nav.place_into_window(&data, stream0, &mut filebuf, 14), 4);
+            assert_eq!(&filebuf[6..10], &data[..4]);
+            let mut out = [0u8; 8];
+            assert_eq!(nav.extract_from_window(&filebuf, 14, stream0, &mut out), 4);
+            assert_eq!(&out[..4], &data[..4]);
+        }
+    }
+
+    /// Every window `[win_start, win_start + len)` of the first three
+    /// instances of a strided, a ragged and a tiled filetype, entered at every stream position from the window's
+    /// first data byte to one past its last: the program copy must match
+    /// the ol-list copy byte for byte, in the count and in the bytes.
+    /// Windows start and end mid-block and inside gaps; the buffer and
+    /// data lengths are seeded, so some copies stop at the data end.
+    #[test]
+    fn ff_window_copies_match_list_sweep() {
+        let mut rng = Rng::new(0x5C03);
+        for view in [sample_view(3), ragged_view(5), tiled_view(2)] {
+            let (ln, fnav) = both_navs(view.clone());
+            let (ln, fnav) = (ViewNav::List(ln), ViewNav::Ff(fnav));
+            let ext = view.filetype.extent();
+            let span = view.disp + 3 * ext;
+            for win_start in 0..span {
+                for len in 0..=(span - win_start).min(ext + 7) {
+                    let win_end = win_start + len;
+                    let first = ln.abs_to_stream(win_start);
+                    for stream0 in first..=ln.abs_to_stream(win_end) + 1 {
+                        let want = rng.below(2 * view.filetype.size()) as usize;
+                        let data: Vec<u8> = (0..want).map(|_| rng.below(256) as u8).collect();
+                        let noise: Vec<u8> = (0..len).map(|_| rng.below(256) as u8).collect();
+                        let ctx = format!("win [{win_start}, {win_end}) stream0 {stream0}");
+
+                        let (mut a, mut b) = (noise.clone(), noise.clone());
+                        let pa = ln.place_into_window(&data, stream0, &mut a, win_start);
+                        let pb = fnav.place_into_window(&data, stream0, &mut b, win_start);
+                        assert_eq!((pa, &a), (pb, &b), "place {ctx}");
+
+                        let (mut a, mut b) = (vec![0u8; want], vec![0u8; want]);
+                        let ea = ln.extract_from_window(&noise, win_start, stream0, &mut a);
+                        let eb = fnav.extract_from_window(&noise, win_start, stream0, &mut b);
+                        assert_eq!((ea, &a), (eb, &b), "extract {ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -6,9 +6,14 @@
 //! reintroduces a pack on this path trips the counters.
 //!
 //! Runs as its own test binary so the process-global counters reflect
-//! exactly the collectives issued here.
+//! exactly the collectives issued here. The obs registry is shared by
+//! every test in the binary, so each test holds [`OBS_LOCK`] from its
+//! reset to its snapshot and the parallel test runner cannot interleave
+//! one test's collectives with another's counters.
 
 mod common;
+
+use std::sync::{Mutex, MutexGuard};
 
 use common::pattern;
 use lio_core::{File, Hints, SharedFile};
@@ -18,6 +23,15 @@ use lio_pfs::MemFile;
 
 const NPROCS: usize = 4;
 const PER_RANK: u64 = 64 * 1024;
+
+/// Serializes the tests that reset and read the process-global registry.
+static OBS_LOCK: Mutex<()> = Mutex::new(());
+
+/// Take [`OBS_LOCK`]; a test that panicked while holding it leaves
+/// nothing to clean up, since the next holder resets the registry.
+fn obs_scope() -> MutexGuard<'static, ()> {
+    OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Interleaved noncontig *fileview* with a contiguous byte memtype: the
 /// file side is gappy (so two-phase really exchanges data) but the
@@ -66,6 +80,7 @@ fn run_collective(hints: Hints) {
 
 #[test]
 fn contiguous_memtype_never_packs() {
+    let _obs = obs_scope();
     lio_obs::reset();
     lio_obs::set_enabled(true);
     for pipelined in [false, true] {
@@ -91,6 +106,7 @@ fn contiguous_memtype_never_packs() {
 fn noncontig_memtype_does_pack() {
     let shared = SharedFile::new(MemFile::new());
     let sh = shared.clone();
+    let _obs = obs_scope();
     lio_obs::reset();
     lio_obs::set_enabled(true);
     World::run(2, move |comm| {

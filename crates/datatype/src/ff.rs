@@ -23,7 +23,6 @@
 
 use lio_obs::{LazyCounter, LazyHistogram};
 
-use crate::strided::StridedSpec;
 use crate::types::{Datatype, Node, TypeKind};
 
 /// Copy-engine metrics. Blocks-copied and the contiguous-run-length
@@ -50,28 +49,6 @@ static OBS_SHARD_SKIPPED: LazyCounter = LazyCounter::new("dt.pack.shard.skipped"
 pub const SHARD_MIN_TOTAL: u64 = 1 << 20;
 /// Keep every shard at least this large; fewer workers otherwise.
 pub const SHARD_MIN_BYTES: u64 = 256 * 1024;
-
-/// Count (and, when `obs`, record) the contiguous runs of a strided copy
-/// of `n` bytes starting at data byte `skipbytes`, without having walked
-/// them individually.
-fn strided_runs(spec: &StridedSpec, skipbytes: u64, n: u64, obs: bool) -> u64 {
-    if n == 0 || spec.block == 0 {
-        return 0;
-    }
-    let b = spec.block;
-    let first = (b - skipbytes % b).min(n);
-    let rest = n - first;
-    let full = rest / b;
-    let last = rest % b;
-    if obs {
-        OBS_RUN_LEN.record(first);
-        OBS_RUN_LEN.record_n(b, full);
-        if last > 0 {
-            OBS_RUN_LEN.record(last);
-        }
-    }
-    1 + full + u64::from(last > 0)
-}
 
 /// Byte position, within the tiled layout of `d`, where the data byte with
 /// index `databytes` lives (0-based). `databytes` may be any multiple of or
@@ -329,10 +306,9 @@ pub fn ff_pack_at(
     n
 }
 
-/// One single-threaded pack pass: the strided fast path when the whole
-/// type reduces to one `{count, block, stride}` frame, the compiled run
-/// program otherwise. Returns `(bytes, runs)`; call-level counters are
-/// the callers' job (shard workers share one logical call).
+/// One single-threaded pack pass through the compiled run program.
+/// Returns `(bytes, runs)`; call-level counters are the callers' job
+/// (shard workers share one logical call).
 fn pack_span(
     src: &[u8],
     buf_disp: i64,
@@ -341,20 +317,6 @@ fn pack_span(
     skipbytes: u64,
     packbuf: &mut [u8],
 ) -> (usize, u64) {
-    // strided fast path: the depth-1 special case of the run program
-    if let Some(spec) = d.as_strided() {
-        let n = crate::strided::strided_pack(
-            &spec,
-            d.extent(),
-            src,
-            buf_disp,
-            d.size() * count,
-            skipbytes,
-            packbuf,
-        );
-        let runs = strided_runs(&spec, skipbytes, n as u64, lio_obs::enabled());
-        return (n, runs);
-    }
     d.program()
         .pack_into(src, buf_disp, count, skipbytes, packbuf)
 }
@@ -401,20 +363,6 @@ fn unpack_span(
     d: &Datatype,
     skipbytes: u64,
 ) -> (usize, u64) {
-    // strided fast path: the depth-1 special case of the run program
-    if let Some(spec) = d.as_strided() {
-        let n = crate::strided::strided_unpack(
-            &spec,
-            d.extent(),
-            dst,
-            buf_disp,
-            d.size() * count,
-            skipbytes,
-            packbuf,
-        );
-        let runs = strided_runs(&spec, skipbytes, n as u64, lio_obs::enabled());
-        return (n, runs);
-    }
     d.program()
         .unpack_into(packbuf, dst, buf_disp, count, skipbytes)
 }
@@ -486,9 +434,7 @@ pub fn ff_pack_shards(
     let obs = lio_obs::enabled();
     let nsh = nshards.max(1) as u64;
     // compile once up front rather than racing the cache from workers
-    if d.as_strided().is_none() {
-        let _ = d.program();
-    }
+    let _ = d.program();
     let (copied, runs) = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nsh as usize);
         let mut rest = &mut packbuf[..len as usize];
@@ -574,9 +520,7 @@ pub fn ff_unpack_shards(
     }
     let obs = lio_obs::enabled();
     let nsh = nshards.max(1) as u64;
-    if d.as_strided().is_none() {
-        let _ = d.program();
-    }
+    let _ = d.program();
     let (copied, runs) = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(nsh as usize);
         let mut rest = dst;

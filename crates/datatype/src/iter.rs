@@ -14,6 +14,11 @@
 //!   run (the stand-in for the SX gather/scatter batching);
 //! * no allocation is performed after construction beyond the frame stack,
 //!   whose size is the tree depth.
+//!
+//! Listless copies do not walk the tree: they run the compiled
+//! [`crate::RunProgram`]. `FlatIter` is the list-based engine's flattener
+//! ([`crate::OlList::flatten`]) and the run oracle the differential tests
+//! compare the program against.
 
 use crate::typemap::Run;
 use crate::types::{Datatype, Node, TypeKind};

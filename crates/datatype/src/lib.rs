@@ -64,6 +64,6 @@ pub use ff::{
 pub use flatten::{OlList, OlPos, OlSeg};
 pub use iter::FlatIter;
 pub use program::RunProgram;
-pub use strided::{strided_pack, strided_unpack, StridedSpec};
+pub use strided::StridedSpec;
 pub use typemap::Run;
 pub use types::{Datatype, Field, HBlock, Order, TypeError, TypeKind};

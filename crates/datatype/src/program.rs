@@ -1,13 +1,13 @@
 //! Compiled datatype run programs.
 //!
-//! The generic pack/unpack path walks the [`Datatype`] tree per run via
-//! [`crate::FlatIter`]: every emitted run pays a frame-stack descent and
-//! per-node dispatch. That interpreter overhead is exactly why derived-
-//! datatype copies miss memcpy speed on small blocks. This module
-//! *compiles* the tree once into a compact run program — normalized
-//! nested loop descriptors (`{count, block, stride}` frames) plus literal
-//! run tails for irregular shapes — and interprets that program with
-//! tight block-copy loops and no per-run tree re-descent.
+//! A tree walk ([`crate::FlatIter`]) pays a frame-stack descent and
+//! per-node dispatch for every emitted run. That interpreter overhead is
+//! exactly why derived-datatype copies miss memcpy speed on small
+//! blocks. This module *compiles* the tree once into a compact run
+//! program — normalized nested loop descriptors (`{count, block,
+//! stride}` frames) plus literal run tails for irregular shapes — and
+//! interprets that program with tight block-copy loops and no per-run
+//! tree re-descent.
 //!
 //! Normalization happens at compile time, in two stages:
 //!
@@ -42,6 +42,10 @@
 //! entry at an arbitrary `skipbytes` costs `O(depth)` (one division per
 //! loop frame, one binary search per tail), after which cost is
 //! proportional only to the bytes moved.
+//!
+//! [`RunProgram::pack_into`] / [`RunProgram::unpack_into`] are the
+//! listless engine's only copy loop: `ff_pack`/`ff_unpack` (sharded or
+//! not) and the fileview's window place/extract all run them.
 //!
 //! Programs are cached per datatype node behind a `OnceLock`, so repeated
 //! I/O on the same fileview or memtype pays compilation once; the
@@ -123,6 +127,10 @@ fn blocks(base: i64, stride: i64, block: u64, count: u64) -> PNode {
 #[derive(Debug)]
 pub struct RunProgram {
     root: Option<PNode>,
+    /// The whole unbounded tiling as one `Blocks` frame, when the
+    /// instances continue the root frame's progression (see
+    /// [`tiled_frame`]); copies then run without a per-instance loop.
+    tiled: Option<PNode>,
     size: u64,
     extent: i64,
     frames: u32,
@@ -192,12 +200,14 @@ impl RunProgram {
                 kernels::OBS_KERNEL_SELECTED.add(selected);
             }
         }
+        let extent = d.extent() as i64;
         RunProgram {
             frames,
             rewrites,
+            tiled: root.as_ref().and_then(|r| tiled_frame(r, extent)),
             root,
             size: d.size(),
-            extent: d.extent() as i64,
+            extent,
         }
     }
 
@@ -210,6 +220,21 @@ impl RunProgram {
     /// compile was already canonical.
     pub fn rewrites(&self) -> u32 {
         self.rewrites
+    }
+
+    /// `(block, stride)` when the whole program is one `Blocks` frame
+    /// (the fully normalized strided form); `stride == block` for a
+    /// single dense block. `None` for loops, tails and empty programs.
+    pub fn single_frame(&self) -> Option<(u64, i64)> {
+        match self.root {
+            Some(PNode::Blocks {
+                block,
+                stride,
+                count,
+                ..
+            }) => Some((block, if count > 1 { stride } else { block as i64 })),
+            _ => None,
+        }
     }
 
     /// A compact structural description, for tests and the profiler:
@@ -230,32 +255,14 @@ impl RunProgram {
         skip: u64,
         packbuf: &mut [u8],
     ) -> (usize, u64) {
-        let Some(root) = &self.root else {
-            return (0, 0);
-        };
-        let total = self.size.saturating_mul(count);
-        if skip >= total || packbuf.is_empty() {
-            return (0, 0);
-        }
-        let cap = (total - skip).min(packbuf.len() as u64) as usize;
+        let cap = self.cap(count, skip, packbuf.len());
         let mut sink = PackSink {
             src,
             out: &mut packbuf[..cap],
-            cursor: 0,
-            runs: 0,
-            obs: lio_obs::enabled(),
-            mode: kernels::mode(),
+            st: SinkState::new(),
         };
-        let mut inst = skip / self.size;
-        let mut s = skip % self.size;
-        let mut origin = inst as i64 * self.extent - buf_disp;
-        while inst < count && !sink.full() {
-            root.walk(origin, s, &mut sink);
-            inst += 1;
-            s = 0;
-            origin += self.extent;
-        }
-        (sink.cursor, sink.runs)
+        self.drive(count, skip, buf_disp, &mut sink);
+        (sink.st.cursor, sink.st.runs)
     }
 
     /// Unpack `packbuf` into `count` tiled instances of `dst`, skipping
@@ -269,33 +276,72 @@ impl RunProgram {
         count: u64,
         skip: u64,
     ) -> (usize, u64) {
-        let Some(root) = &self.root else {
-            return (0, 0);
-        };
-        let total = self.size.saturating_mul(count);
-        if skip >= total || packbuf.is_empty() {
-            return (0, 0);
-        }
-        let cap = (total - skip).min(packbuf.len() as u64) as usize;
+        let cap = self.cap(count, skip, packbuf.len());
         let mut sink = UnpackSink {
             packbuf: &packbuf[..cap],
             dst,
-            cursor: 0,
-            runs: 0,
-            obs: lio_obs::enabled(),
-            mode: kernels::mode(),
+            st: SinkState::new(),
         };
+        self.drive(count, skip, buf_disp, &mut sink);
+        (sink.st.cursor, sink.st.runs)
+    }
+
+    /// Bytes a copy of `count` instances entered after `skip` data bytes
+    /// moves through a contiguous buffer of `len` bytes.
+    fn cap(&self, count: u64, skip: u64, len: usize) -> usize {
+        let total = self.size.saturating_mul(count);
+        total.saturating_sub(skip).min(len as u64) as usize
+    }
+
+    /// Walk `count` tiled instances into `sink`, entering after `skip`
+    /// data bytes; buffer index 0 holds typemap displacement `buf_disp`.
+    /// The sink's capacity never exceeds the data left in the `count`
+    /// instances, so the tiled frame's unbounded count is safe.
+    fn drive<S: Sink>(&self, count: u64, skip: u64, buf_disp: i64, sink: &mut S) {
+        let Some(root) = &self.root else {
+            return;
+        };
+        if sink.full() {
+            return;
+        }
+        if let Some(tiled) = &self.tiled {
+            tiled.walk(-buf_disp, skip, sink);
+            return;
+        }
         let mut inst = skip / self.size;
         let mut s = skip % self.size;
         let mut origin = inst as i64 * self.extent - buf_disp;
         while inst < count && !sink.full() {
-            root.walk(origin, s, &mut sink);
+            root.walk(origin, s, sink);
             inst += 1;
             s = 0;
             origin += self.extent;
         }
-        (sink.cursor, sink.runs)
     }
+}
+
+/// The unbounded tiling of a one-frame program as a single `Blocks`
+/// frame, when instance `i`'s blocks continue the progression of
+/// instance `i - 1`: a one-block frame repeats at the extent, and a
+/// multi-block frame must have `stride · count == extent` (the Figure 4
+/// filetype). A dense type becomes blocks spaced exactly one block
+/// apart, which the sinks copy as one run.
+fn tiled_frame(root: &PNode, extent: i64) -> Option<PNode> {
+    let PNode::Blocks {
+        base,
+        stride,
+        block,
+        count,
+        ..
+    } = *root
+    else {
+        return None;
+    };
+    if count == 1 {
+        return Some(blocks(base, extent, block, u64::MAX));
+    }
+    (stride.checked_mul(count as i64) == Some(extent))
+        .then(|| blocks(base, stride, block, u64::MAX))
 }
 
 /// Compile one node; `None` when the subtree holds no data.
@@ -775,174 +821,209 @@ fn shape_of(node: &PNode) -> (u32, u32, u64, u64) {
 }
 
 /// Where the interpreter's runs go: pack copies out of the typed buffer,
-/// unpack copies into it. `run` returns the bytes actually moved (short
-/// when the contiguous side is exhausted); `blocks` moves a whole frame
-/// region of equal blocks through the frame's selected kernel, falling
-/// back to per-block `run` calls when the region's bounds cannot be
-/// proven (or the kernel is scalar).
+/// unpack copies into it. The two directions implement only `copy` and
+/// `kernel`; `run` and `blocks` are shared. `run` returns the bytes
+/// actually moved (short when the contiguous side is exhausted);
+/// `blocks` moves a whole frame region of equal blocks as one copy when
+/// the blocks touch, as one kernel call when the frame selected a
+/// kernel and the region's bounds are proven, and block by block
+/// otherwise. Either way a region is accounted once, not per block.
 trait Sink {
-    fn run(&mut self, pos: i64, len: u64) -> u64;
-    fn full(&self) -> bool;
-    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel);
+    fn state(&mut self) -> &mut SinkState;
+
+    /// Bytes left on the contiguous side.
+    fn room(&self) -> usize;
+
+    /// Length of the typed buffer.
+    fn typed_len(&self) -> usize;
+
+    /// Move `n <= room()` bytes between typed position `pos` and the
+    /// cursor, advancing it; panics when `pos` is out of bounds.
+    fn copy(&mut self, pos: i64, n: usize);
+
+    /// Move `full` blocks of `class` bytes, `stride` apart from typed
+    /// position `start`, through kernel `kind`, advancing the cursor.
+    ///
+    /// # Safety
+    /// Every block lies inside the typed buffer, `full * class <=
+    /// room()`, and the CPU supports `kind` (it came from
+    /// [`kernels::resolve`]).
+    unsafe fn kernel(&mut self, kind: Kind, class: u8, start: usize, stride: i64, full: u64);
+
+    #[inline]
+    fn full(&self) -> bool {
+        self.room() == 0
+    }
+
+    #[inline]
+    fn run(&mut self, pos: i64, len: u64) -> u64 {
+        let n = (len as usize).min(self.room());
+        if n == 0 {
+            return 0;
+        }
+        self.copy(pos, n);
+        let st = self.state();
+        st.runs += 1;
+        if st.obs {
+            crate::ff::OBS_RUN_LEN.record(n as u64);
+        }
+        n as u64
+    }
+
+    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel) {
+        let full = count.min(self.room() as u64 / block);
+        if full > 0 {
+            let kind = kernels::resolve(sel, self.state().mode);
+            let end = start + (full as i64 - 1) * stride + block as i64;
+            let in_bounds = start >= 0 && end >= 0 && end as u64 <= self.typed_len() as u64;
+            if stride == block as i64 {
+                // touching blocks: the region is one contiguous run
+                self.copy(start, (full * block) as usize);
+            } else if kind != Kind::Scalar && in_bounds {
+                // SAFETY: kernels engage only on positive strides
+                // (`Sel::select`), so `in_bounds` puts every block inside
+                // the typed buffer; `full * block <= room()` by the
+                // choice of `full`, and `class == block` for a selected
+                // frame; `kind` comes from `kernels::resolve`.
+                unsafe { self.kernel(kind, sel.class, start as usize, stride, full) };
+                if self.state().obs {
+                    kernels::OBS_KERNEL_BLOCKS.add(full);
+                    kernels::OBS_KERNEL_BYTES.add(full * block);
+                }
+            } else {
+                if kind != Kind::Scalar {
+                    kernels::OBS_KERNEL_FALLBACKS.incr();
+                }
+                // scalar reference path (also preserves the original
+                // panic-on-out-of-bounds semantics)
+                let mut pos = start;
+                for _ in 0..full {
+                    self.copy(pos, block as usize);
+                    pos += stride;
+                }
+            }
+            let st = self.state();
+            st.runs += full;
+            if st.obs {
+                crate::ff::OBS_RUN_LEN.record_n(block, full);
+            }
+        }
+        if full < count && !self.full() {
+            // partial tail block: capacity ends inside this block
+            self.run(start + full as i64 * stride, block);
+        }
+    }
 }
 
-struct PackSink<'a> {
-    src: &'a [u8],
-    out: &'a mut [u8],
+/// Cursor into the contiguous side, runs moved, and the per-call
+/// settings both sinks read.
+struct SinkState {
     cursor: usize,
     runs: u64,
     obs: bool,
     mode: Mode,
 }
 
+impl SinkState {
+    fn new() -> SinkState {
+        SinkState {
+            cursor: 0,
+            runs: 0,
+            obs: lio_obs::enabled(),
+            mode: kernels::mode(),
+        }
+    }
+}
+
+struct PackSink<'a> {
+    src: &'a [u8],
+    out: &'a mut [u8],
+    st: SinkState,
+}
+
 impl Sink for PackSink<'_> {
     #[inline]
-    fn run(&mut self, pos: i64, len: u64) -> u64 {
-        let n = (len as usize).min(self.out.len() - self.cursor);
-        if n == 0 {
-            return 0;
-        }
-        let s = pos as usize;
-        self.out[self.cursor..self.cursor + n].copy_from_slice(&self.src[s..s + n]);
-        self.cursor += n;
-        self.runs += 1;
-        if self.obs {
-            crate::ff::OBS_RUN_LEN.record(n as u64);
-        }
-        n as u64
+    fn state(&mut self) -> &mut SinkState {
+        &mut self.st
     }
 
     #[inline]
-    fn full(&self) -> bool {
-        self.cursor == self.out.len()
+    fn room(&self) -> usize {
+        self.out.len() - self.st.cursor
     }
 
-    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel) {
-        let rem = (self.out.len() - self.cursor) as u64;
-        let full = count.min(rem / block);
-        let mut pos = start;
-        if full > 0 {
-            let kind = kernels::resolve(sel, self.mode);
-            let mut done = false;
-            if kind != Kind::Scalar {
-                let end = start + (full as i64 - 1) * stride + block as i64;
-                if start >= 0 && end >= 0 && end as u64 <= self.src.len() as u64 {
-                    // the whole region is in bounds: one direct kernel call
-                    unsafe {
-                        kernels::gather(
-                            kind,
-                            sel.class,
-                            self.src.as_ptr().add(start as usize),
-                            stride as isize,
-                            full as usize,
-                            self.out.as_mut_ptr().add(self.cursor),
-                        );
-                    }
-                    self.cursor += (full * block) as usize;
-                    self.runs += full;
-                    if self.obs {
-                        crate::ff::OBS_RUN_LEN.record_n(block, full);
-                        kernels::OBS_KERNEL_BLOCKS.add(full);
-                        kernels::OBS_KERNEL_BYTES.add(full * block);
-                    }
-                    done = true;
-                } else {
-                    kernels::OBS_KERNEL_FALLBACKS.incr();
-                }
-            }
-            if !done {
-                // scalar reference path (also preserves the original
-                // panic-on-out-of-bounds semantics)
-                for _ in 0..full {
-                    self.run(pos, block);
-                    pos += stride;
-                }
-            } else {
-                pos += full as i64 * stride;
-            }
+    #[inline]
+    fn typed_len(&self) -> usize {
+        self.src.len()
+    }
+
+    #[inline]
+    fn copy(&mut self, pos: i64, n: usize) {
+        let (s, c) = (pos as usize, self.st.cursor);
+        self.out[c..c + n].copy_from_slice(&self.src[s..s + n]);
+        self.st.cursor += n;
+    }
+
+    unsafe fn kernel(&mut self, kind: Kind, class: u8, start: usize, stride: i64, full: u64) {
+        // SAFETY: the caller proves the blocks lie inside `src` and that
+        // `out` has `full * class` bytes of room at the cursor.
+        unsafe {
+            kernels::gather(
+                kind,
+                class,
+                self.src.as_ptr().add(start),
+                stride as isize,
+                full as usize,
+                self.out.as_mut_ptr().add(self.st.cursor),
+            );
         }
-        if full < count && !self.full() {
-            // partial tail block: capacity ends inside this block
-            self.run(pos, block);
-        }
+        self.st.cursor += full as usize * class as usize;
     }
 }
 
 struct UnpackSink<'a> {
     packbuf: &'a [u8],
     dst: &'a mut [u8],
-    cursor: usize,
-    runs: u64,
-    obs: bool,
-    mode: Mode,
+    st: SinkState,
 }
 
 impl Sink for UnpackSink<'_> {
     #[inline]
-    fn run(&mut self, pos: i64, len: u64) -> u64 {
-        let n = (len as usize).min(self.packbuf.len() - self.cursor);
-        if n == 0 {
-            return 0;
-        }
-        let t = pos as usize;
-        self.dst[t..t + n].copy_from_slice(&self.packbuf[self.cursor..self.cursor + n]);
-        self.cursor += n;
-        self.runs += 1;
-        if self.obs {
-            crate::ff::OBS_RUN_LEN.record(n as u64);
-        }
-        n as u64
+    fn state(&mut self) -> &mut SinkState {
+        &mut self.st
     }
 
     #[inline]
-    fn full(&self) -> bool {
-        self.cursor == self.packbuf.len()
+    fn room(&self) -> usize {
+        self.packbuf.len() - self.st.cursor
     }
 
-    fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel) {
-        let rem = (self.packbuf.len() - self.cursor) as u64;
-        let full = count.min(rem / block);
-        let mut pos = start;
-        if full > 0 {
-            let kind = kernels::resolve(sel, self.mode);
-            let mut done = false;
-            if kind != Kind::Scalar {
-                let end = start + (full as i64 - 1) * stride + block as i64;
-                if start >= 0 && end >= 0 && end as u64 <= self.dst.len() as u64 {
-                    unsafe {
-                        kernels::scatter(
-                            kind,
-                            sel.class,
-                            self.packbuf.as_ptr().add(self.cursor),
-                            self.dst.as_mut_ptr().add(start as usize),
-                            stride as isize,
-                            full as usize,
-                        );
-                    }
-                    self.cursor += (full * block) as usize;
-                    self.runs += full;
-                    if self.obs {
-                        crate::ff::OBS_RUN_LEN.record_n(block, full);
-                        kernels::OBS_KERNEL_BLOCKS.add(full);
-                        kernels::OBS_KERNEL_BYTES.add(full * block);
-                    }
-                    done = true;
-                } else {
-                    kernels::OBS_KERNEL_FALLBACKS.incr();
-                }
-            }
-            if !done {
-                for _ in 0..full {
-                    self.run(pos, block);
-                    pos += stride;
-                }
-            } else {
-                pos += full as i64 * stride;
-            }
+    #[inline]
+    fn typed_len(&self) -> usize {
+        self.dst.len()
+    }
+
+    #[inline]
+    fn copy(&mut self, pos: i64, n: usize) {
+        let (t, c) = (pos as usize, self.st.cursor);
+        self.dst[t..t + n].copy_from_slice(&self.packbuf[c..c + n]);
+        self.st.cursor += n;
+    }
+
+    unsafe fn kernel(&mut self, kind: Kind, class: u8, start: usize, stride: i64, full: u64) {
+        // SAFETY: the caller proves the blocks lie inside `dst` and that
+        // `packbuf` holds `full * class` bytes from the cursor.
+        unsafe {
+            kernels::scatter(
+                kind,
+                class,
+                self.packbuf.as_ptr().add(self.st.cursor),
+                self.dst.as_mut_ptr().add(start),
+                stride as isize,
+                full as usize,
+            );
         }
-        if full < count && !self.full() {
-            self.run(pos, block);
-        }
+        self.st.cursor += full as usize * class as usize;
     }
 }
 
@@ -1079,6 +1160,24 @@ mod tests {
             assert_eq!(d.program().frames(), 1, "{d:?}");
             check_all_skips(&d, 3);
         }
+    }
+
+    #[test]
+    fn tiled_types_run_as_one_frame() {
+        // instances that continue the frame's progression: dense, one
+        // gappy block, and the Figure 4 shape (stride · count == extent)
+        let v = Datatype::vector(4, 1, 3, &Datatype::int()).unwrap();
+        for d in [
+            Datatype::contiguous(10, &Datatype::int()).unwrap(),
+            Datatype::resized(&Datatype::int(), 0, 8).unwrap(),
+            Datatype::resized(&v, 0, 48).unwrap(),
+        ] {
+            assert!(d.program().tiled.is_some(), "{d:?}");
+            check_all_skips(&d, 3);
+        }
+        // a trailing gap shorter than the stride breaks the progression
+        let d = Datatype::vector(8, 1, 2, &Datatype::double()).unwrap();
+        assert!(d.program().tiled.is_none());
     }
 
     #[test]

@@ -1,19 +1,18 @@
-//! Canonical strided decomposition — the flattening-on-the-fly copy
-//! batching.
+//! Canonical strided decomposition — the compile-time folding rule of
+//! flattening-on-the-fly.
 //!
 //! The defining trick of flattening-on-the-fly (paper Section 3.1) is to
 //! "identify and copy large chunks of evenly spaced, non-contiguous data"
 //! and perform the actual copying "in a non-recursive loop" *outside* the
-//! datatype traversal. On the SX that feeds hardware gather/scatter; on a
-//! scalar machine (the companion paper's setting) it becomes a tight
-//! two-level loop with precomputed base/stride/blocklen — no per-run tree
-//! walking, no per-run representation reads.
+//! datatype traversal. [`StridedSpec`] is that canonical form: a datatype
+//! whose single instance is `count` dense blocks of `block` bytes, block
+//! `j` starting at byte `base + j·stride`.
 //!
-//! [`StridedSpec`] is that canonical form: a datatype whose single
-//! instance is `count` dense blocks of `block` bytes, block `j` starting
-//! at byte `base + j·stride`. Most datatypes used for fileviews in
-//! practice (vectors, subarray rows, the Figure 4 struct) reduce to it;
-//! types that don't simply fall back to the general [`crate::FlatIter`].
+//! Nothing copies through a `StridedSpec` directly. The run-program
+//! compiler ([`crate::program`]) applies [`Datatype::as_strided`] at every
+//! level of the tree, so each reducible subtree becomes one
+//! `{count, block, stride}` frame, and a depth-1 type (vectors, subarray
+//! rows, the Figure 4 struct) is simply a one-frame program.
 
 use crate::types::{Datatype, TypeKind};
 
@@ -31,12 +30,6 @@ pub struct StridedSpec {
 }
 
 impl StridedSpec {
-    /// Total data bytes per instance.
-    #[inline]
-    pub fn size(&self) -> u64 {
-        self.block * self.count
-    }
-
     /// Fold `n` repetitions of this spec placed `step` bytes apart into a
     /// single spec, when the placement keeps blocks evenly spaced.
     fn tile(self, n: u64, step: i64) -> Option<StridedSpec> {
@@ -155,82 +148,6 @@ impl Datatype {
             TypeKind::Resized { child, .. } => child.as_strided(),
         }
     }
-}
-
-/// Pack via the strided fast path: copy `packbuf.len().min(available)`
-/// bytes of the tiled layout of `spec` (instance extent `extent`)
-/// starting at data offset `skip`, reading the byte at layout position
-/// `p` from `src[(p - buf_disp)]`. Returns bytes copied.
-///
-/// The caller guarantees the source buffer covers every touched position.
-pub fn strided_pack(
-    spec: &StridedSpec,
-    extent: u64,
-    src: &[u8],
-    buf_disp: i64,
-    limit_bytes: u64,
-    skip: u64,
-    packbuf: &mut [u8],
-) -> usize {
-    let mut out = 0usize;
-    let todo = (packbuf.len() as u64).min(limit_bytes.saturating_sub(skip)) as usize;
-    // global block index and offset within it
-    let mut gblock = skip / spec.block;
-    let mut within = skip % spec.block;
-    while out < todo {
-        let inst = gblock / spec.count;
-        let j = gblock % spec.count;
-        let pos = inst as i64 * extent as i64 + spec.base + j as i64 * spec.stride + within as i64;
-        let s = (pos - buf_disp) as usize;
-        if s >= src.len() {
-            break; // source window exhausted
-        }
-        let run = (spec.block - within) as usize;
-        let n = run.min(todo - out).min(src.len() - s);
-        packbuf[out..out + n].copy_from_slice(&src[s..s + n]);
-        out += n;
-        if n < run && out < todo {
-            break; // source window ended mid-run
-        }
-        gblock += 1;
-        within = 0;
-    }
-    out
-}
-
-/// Unpack via the strided fast path (inverse of [`strided_pack`]).
-pub fn strided_unpack(
-    spec: &StridedSpec,
-    extent: u64,
-    dst: &mut [u8],
-    buf_disp: i64,
-    limit_bytes: u64,
-    skip: u64,
-    packbuf: &[u8],
-) -> usize {
-    let mut consumed = 0usize;
-    let todo = (packbuf.len() as u64).min(limit_bytes.saturating_sub(skip)) as usize;
-    let mut gblock = skip / spec.block;
-    let mut within = skip % spec.block;
-    while consumed < todo {
-        let inst = gblock / spec.count;
-        let j = gblock % spec.count;
-        let pos = inst as i64 * extent as i64 + spec.base + j as i64 * spec.stride + within as i64;
-        let t = (pos - buf_disp) as usize;
-        if t >= dst.len() {
-            break; // destination window exhausted
-        }
-        let run = (spec.block - within) as usize;
-        let n = run.min(todo - consumed).min(dst.len() - t);
-        dst[t..t + n].copy_from_slice(&packbuf[consumed..consumed + n]);
-        consumed += n;
-        if n < run && consumed < todo {
-            break; // destination window ended mid-run
-        }
-        gblock += 1;
-        within = 0;
-    }
-    consumed
 }
 
 #[cfg(test)]
@@ -440,29 +357,6 @@ mod tests {
             a.sort_unstable();
             expect.sort_unstable();
             assert_eq!(bytes(&a), bytes(&expect), "{d:?}");
-        }
-    }
-
-    #[test]
-    fn strided_pack_roundtrip() {
-        let d = Datatype::vector(8, 1, 2, &Datatype::basic(4)).unwrap();
-        let spec = d.as_strided().unwrap();
-        let ext = d.extent();
-        let src: Vec<u8> = (0..128).collect();
-        for skip in [0u64, 1, 4, 17, 31] {
-            let limit = d.size() * 2;
-            let mut fast = vec![0u8; (limit - skip) as usize];
-            let n = strided_pack(&spec, ext, &src, 0, limit, skip, &mut fast);
-            assert_eq!(n as u64, limit - skip);
-            let mut slow = vec![0u8; (limit - skip) as usize];
-            let m = crate::ff::ff_pack(&src, 2, &d, skip, &mut slow);
-            assert_eq!(m, n);
-            assert_eq!(fast, slow, "skip {skip}");
-
-            // unpack back
-            let mut dst = vec![0u8; 128];
-            let k = strided_unpack(&spec, ext, &mut dst, 0, limit, skip, &fast);
-            assert_eq!(k, n);
         }
     }
 }

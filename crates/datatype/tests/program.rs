@@ -136,8 +136,7 @@ fn pack_compiled_treewalk_sharded_agree() {
             let n = treewalk_pack(&src, count, &d, skip, &mut walk);
             assert_eq!(n, want_len, "tree walk short; {}", replay(seed, case));
 
-            // compiled program, invoked directly so even strided-
-            // reducible types exercise the program interpreter
+            // compiled program, invoked directly
             let mut prog = vec![0u8; want_len];
             let (n, _) = d.program().pack_into(&src, 0, count, skip, &mut prog);
             assert_eq!(n, want_len, "compiled short; {}", replay(seed, case));
@@ -148,7 +147,7 @@ fn pack_compiled_treewalk_sharded_agree() {
                 replay(seed, case)
             );
 
-            // the public entry (strided fast path or program)
+            // the public entry (the same program, behind the call counters)
             let mut public = vec![0u8; want_len];
             ff_pack(&src, count, &d, skip, &mut public);
             assert_eq!(

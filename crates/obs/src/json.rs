@@ -52,7 +52,7 @@ impl Value {
 /// Parse a complete JSON document. Errors carry the byte offset.
 pub fn parse(s: &str) -> Result<Value, String> {
     let b = s.as_bytes();
-    let mut p = Parser { b, pos: 0 };
+    let mut p = Parser { s, b, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -68,6 +68,7 @@ pub fn validate(s: &str) -> Result<(), String> {
 }
 
 struct Parser<'a> {
+    s: &'a str,
     b: &'a [u8],
     pos: usize,
 }
@@ -213,16 +214,15 @@ impl Parser<'_> {
                     return Err(format!("raw control char in string at byte {}", self.pos));
                 }
                 Some(_) => {
-                    // consume one UTF-8 scalar (input is &str, so valid)
-                    let rest = &self.b[self.pos..];
-                    let ch_len = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8".to_string())?
-                        .chars()
-                        .next()
-                        .map(|c| c.len_utf8())
-                        .unwrap_or(1);
-                    out.push_str(std::str::from_utf8(&rest[..ch_len]).unwrap());
-                    self.pos += ch_len;
+                    // copy the plain run up to the next quote, backslash or
+                    // control byte in one slice: those stop bytes are ASCII,
+                    // so both ends fall on char boundaries of the &str input
+                    let run = self.b[self.pos..]
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(self.b.len() - self.pos);
+                    out.push_str(&self.s[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
                 None => return Err("unterminated string".to_string()),
             }
@@ -299,6 +299,35 @@ mod tests {
         assert!(validate("{\"a\" 1}").is_err());
         assert!(validate("\"unterminated").is_err());
         assert!(validate("tru").is_err());
+    }
+
+    #[test]
+    fn parses_multi_megabyte_string_document() {
+        // ~5 MB of strings mixing ASCII, multi-byte UTF-8 and escapes: a
+        // parser that rescans the remaining document per character would
+        // not finish this in any reasonable time
+        let item = |i: usize| format!("span {i} — µs ü€ {}", "x".repeat(200));
+        let n = 20_000;
+        let mut doc = String::from("[");
+        for i in 0..n {
+            if i > 0 {
+                doc.push(',');
+            }
+            crate::json_string(&mut doc, &format!("{}\n\"{i}\"", item(i)));
+        }
+        doc.push(']');
+        assert!(doc.len() > 4 << 20, "document is {} bytes", doc.len());
+        validate(&doc).unwrap();
+        let v = parse(&doc).unwrap();
+        let items = v.as_arr().unwrap();
+        assert_eq!(items.len(), n);
+        for i in [0, 1, n / 2, n - 1] {
+            assert_eq!(
+                items[i].as_str().unwrap(),
+                format!("{}\n\"{i}\"", item(i)),
+                "item {i}"
+            );
+        }
     }
 
     #[test]

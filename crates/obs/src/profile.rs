@@ -275,7 +275,8 @@ pub fn record_run(len: u64, gap: u64, contiguous: bool) {
 }
 
 /// `count` identical runs of `block` bytes separated by `stride` bytes —
-/// the regular-stride fast path that never materializes individual runs.
+/// a window copy through a one-frame strided program, which never
+/// materializes individual runs.
 #[inline(always)]
 pub fn record_strided(block: u64, stride: u64, count: u64) {
     if !enabled() || count == 0 {
@@ -289,6 +290,19 @@ pub fn record_strided(block: u64, stride: u64, count: u64) {
     } else {
         s.contig_runs.fetch_add(count, Relaxed);
     }
+}
+
+/// `count` runs moving `bytes` in total whose individual lengths and
+/// gaps were not observed (a compiled-program copy of an irregular
+/// type): recorded at their mean length, neither contiguous nor gapped.
+#[inline(always)]
+pub fn record_runs(count: u64, bytes: u64) {
+    if !enabled() || count == 0 {
+        return;
+    }
+    let s = state();
+    s.runs.fetch_add(count, Relaxed);
+    s.run_sizes.record_n(bytes / count, count);
 }
 
 /// A fileview was established: filetype `size`/`extent`/`leaf_runs` and
@@ -1416,6 +1430,20 @@ mod tests {
             assert_eq!(p.runs.total, 24);
             assert_eq!(p.runs.contiguous, 16);
             assert_eq!(p.runs.gaps.count, 7); // count-1 gaps for the strided batch
+        });
+    }
+
+    #[test]
+    fn unobserved_runs_count_at_their_mean() {
+        with_profile(|| {
+            record_runs(4, 400);
+            record_runs(0, 99);
+            let p = snapshot();
+            assert_eq!(p.runs.total, 4);
+            assert_eq!(p.runs.contiguous, 0);
+            assert_eq!(p.runs.gaps.count, 0);
+            assert_eq!(p.runs.sizes.count, 4);
+            assert_eq!(p.runs.sizes.sum, 400);
         });
     }
 

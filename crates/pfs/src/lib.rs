@@ -20,10 +20,7 @@
 //!   [`squeue`]) served by a worker threadpool over any device, with
 //!   alignment-aware segment planning and staged buffers ([`aligned`]);
 //! * [`RangeLock`] — the byte-range lock that data-sieving writes need for
-//!   their read-modify-write cycle;
-//! * [`StripedFile`] — RAID-0-style striping over several backends, the
-//!   "suitable striping configuration" of the paper's Figure 8
-//!   discussion.
+//!   their read-modify-write cycle.
 
 pub mod aligned;
 pub mod decorate;
@@ -32,7 +29,6 @@ pub mod lock;
 pub mod os;
 pub mod retry;
 pub mod squeue;
-pub mod stripe;
 
 pub use aligned::{AlignedBuf, AlignedPool};
 pub use decorate::{
@@ -43,4 +39,3 @@ pub use lock::{RangeGuard, RangeLock};
 pub use os::{OsConfig, OsFile};
 pub use retry::{RetryExhausted, RetryPolicy};
 pub use squeue::{Cqe, QueueConfig, SqBuf, Sqe, SubmissionQueue};
-pub use stripe::StripedFile;
