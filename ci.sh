@@ -48,6 +48,14 @@ for osdir in /dev/shm "$PWD/target/lio-os-ci"; do
   LIO_OS_DIR=$osdir cargo test -q -p lio-pfs --test os_faults --test os_edge
 done
 
+# A one-worker, one-deep queue: the pipelined engine submits window I/O
+# straight from its event loop, so every submit past the first blocks
+# that loop until the worker dequeues — the corpus must stay
+# byte-identical and deadlock-free under that backpressure.
+echo "== pipeline/backend/collective suites under LIO_BACKEND=os LIO_OS_WORKERS=1 LIO_OS_DEPTH=1"
+LIO_BACKEND=os LIO_OS_WORKERS=1 LIO_OS_DEPTH=1 \
+  cargo test -q -p lio-core --test pipeline --test backend --test collective
+
 echo "== backend corpus cross-product LIO_BACKEND={mem,os} x LIO_PIPELINE={0,1}"
 for be in mem os; do
   for pipe in 0 1; do

@@ -11,10 +11,13 @@
 //!   IOP's domain start (`win_j = dom.0 + j·cb_buffer_size`) and ship one
 //!   message per non-empty window, at most `pipeline_depth` un-credited
 //!   messages in flight per (AP, IOP) pair;
-//! * the IOP owns `pipeline_depth` window buffers and runs storage I/O on
-//!   two small worker lanes (read and write), so the read-modify-write of
-//!   window `k` overlaps receiving and placing window `k+1` — and, with
-//!   depth ≥ 2, the pre-read of `k+1` overlaps the write-back of `k`;
+//! * the IOP owns `pipeline_depth` window buffers and keeps their storage
+//!   I/O in flight while it exchanges: a backend with a submission queue
+//!   gets each window submitted straight from the event loop, which also
+//!   harvests the completions; a synchronous backend gets one lane thread
+//!   per direction. Either way the read-modify-write of window `k`
+//!   overlaps receiving and placing window `k+1` — and, with depth ≥ 2,
+//!   the pre-read of `k+1` overlaps the write-back of `k`;
 //! * the IOP grants one credit per consumed message, which bounds its
 //!   buffering at `O(pipeline_depth · cb_buffer_size · nprocs)` no matter
 //!   how large the collective access is.
@@ -30,21 +33,21 @@
 //! independently, how many bytes each AP contributes to each window, so
 //! no per-window metadata is exchanged — window messages are pure data.
 
+use std::cell::Cell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::time::Duration;
 
 use lio_mpi::Comm;
 use lio_obs::health::{self, HbPhase};
 use lio_obs::{LazyCounter, LazyGauge};
-use lio_pfs::{SqBuf, Sqe, StorageFile, SubmissionQueue};
+use lio_pfs::squeue::SqOp;
+use lio_pfs::{retry, Cqe, SqBuf, Sqe, StorageFile, SubmissionQueue};
 
 use crate::autotune::{FileTuner, OpOutcome};
 use crate::error::{IoError, Result};
 use crate::hints::{Engine, Hints};
 use crate::packer::MemPacker;
-use crate::sieve::{read_window, write_window};
 use crate::twophase::{
     access_range, build_access_list, file_domains, parse_ol_list, stream_intersection, CollState,
     Coverage, MergeView, OBS_EXCH_DATA_BYTES, OBS_EXCH_LIST_BYTES, OBS_FAULT_ABORTS, OBS_R_CALLS,
@@ -561,15 +564,7 @@ impl<'a> Planner<'a> {
 // Storage lanes
 // ---------------------------------------------------------------------
 
-/// A window-buffer job for a storage lane.
-struct Job {
-    seq: u64,
-    off: u64,
-    len: usize,
-    buf: Vec<u8>,
-}
-
-/// A completed storage-lane job, returning buffer ownership.
+/// A harvested window I/O, returning buffer ownership.
 enum LaneDone {
     Read {
         seq: u64,
@@ -582,172 +577,180 @@ enum LaneDone {
     },
 }
 
-/// Spawn the pre-read lane inside `scope`.
+/// How long [`Lanes::next_done`] may block.
+#[derive(Clone, Copy)]
+enum Wait {
+    Poll,
+    For(Duration),
+    Forever,
+}
+
+/// Pack a window seq and its direction into one submission token.
+/// Checked: a seq too large to shift panics instead of aliasing another
+/// window's token.
+fn sqe_token(seq: u64, write: bool) -> u64 {
+    seq.checked_mul(2)
+        .expect("window seq overflows the submission token")
+        | write as u64
+}
+
+/// Inverse of [`sqe_token`]: `(seq, write)`.
+fn sqe_untoken(token: u64) -> (u64, bool) {
+    (token >> 1, token & 1 == 1)
+}
+
+/// The IOP's storage side for one op: where the event loop submits
+/// window I/O and harvests the completions, always as [`Sqe`]/[`Cqe`].
 ///
-/// Backends that expose a [`SubmissionQueue`] get the ring variant:
-/// every job is submitted the moment it arrives (whole-window batch
-/// submission — the queue's depth bound is the only backpressure) and a
-/// harvester forwards completions *in device order*. Consumers
-/// seq-match, so reordering is fine. Synchronous backends get the
-/// classic one-thread lane, whose completions are FIFO.
-fn spawn_read_lane<'scope>(
+/// A backend that exposes a [`SubmissionQueue`] needs no threads of its
+/// own: the event loop submits every window straight onto the ring (its
+/// depth bound is the only backpressure — a full queue blocks the
+/// submit) and harvests completions, in device order, from this op's
+/// reply channel. A synchronous backend gets one lane thread per
+/// direction, each completing its windows in FIFO order. Consumers
+/// seq-match either way.
+struct Lanes<'a> {
+    /// Queue-backed backends: the ring and this op's reply channel.
+    queue: Option<(&'a SubmissionQueue, Sender<Cqe>)>,
+    /// Synchronous backends: the read lane, then (writes) the write lane.
+    threads: Vec<Sender<Sqe>>,
+    cq: Receiver<Cqe>,
+    /// Device time of every harvested completion.
+    io_ns: Cell<u64>,
+    /// Time the event loop spent blocked on a full queue.
+    submit_ns: Cell<u64>,
+}
+
+impl<'a> Lanes<'a> {
+    /// Storage for one op: a read side, plus a write side when `writes`.
+    fn start(
+        scope: &'a std::thread::Scope<'a, '_>,
+        storage: &'a dyn StorageFile,
+        writes: bool,
+    ) -> Lanes<'a> {
+        let (cq_tx, cq) = mpsc::channel();
+        let mut threads = Vec::new();
+        let queue = match storage.submission() {
+            Some(q) => Some((q, cq_tx)),
+            None => {
+                for _ in 0..1 + writes as usize {
+                    let (tx, rx) = mpsc::channel();
+                    spawn_lane(scope, storage, rx, cq_tx.clone());
+                    threads.push(tx);
+                }
+                None
+            }
+        };
+        Lanes {
+            queue,
+            threads,
+            cq,
+            io_ns: Cell::new(0),
+            submit_ns: Cell::new(0),
+        }
+    }
+
+    /// Hand window `seq`'s `buf[..len]` at `off` to storage.
+    fn submit(&self, write: bool, seq: u64, off: u64, len: usize, buf: Vec<u8>) {
+        let (token, buf) = (sqe_token(seq, write), SqBuf::Owned(buf));
+        let sqe = if write {
+            Sqe::write(token, off, buf, len)
+        } else {
+            Sqe::read(token, off, buf, len)
+        };
+        match &self.queue {
+            Some((queue, cq_tx)) => {
+                let name = if write {
+                    "io.submit.write"
+                } else {
+                    "io.submit.read"
+                };
+                let _sp = lio_obs::trace::span_ab(name, off, len as u64);
+                let t = lio_obs::now();
+                queue.submit(sqe, cq_tx);
+                self.submit_ns
+                    .set(self.submit_ns.get() + lio_obs::elapsed_ns(t));
+            }
+            None => {
+                let ok = self.threads[write as usize].send(sqe).is_ok();
+                debug_assert!(ok, "storage lane outlives the event loop");
+            }
+        }
+    }
+
+    /// The next completion, waiting as `wait` allows.
+    ///
+    /// Window buffers travel as [`SqBuf::Owned`] and come back at full
+    /// capacity, which the engines' buffer recycling depends on. Short
+    /// reads are EOF by the [`Cqe`] contract, so the tail is zero-filled.
+    /// Every completion heartbeats the rank (a slow device still
+    /// completes windows, so slow never reads as stuck) and books its
+    /// device service time into `io_ns`.
+    fn next_done(&self, wait: Wait) -> Option<LaneDone> {
+        let cqe = match wait {
+            Wait::Poll => self.cq.try_recv().ok(),
+            Wait::For(d) => self.cq.recv_timeout(d).ok(),
+            Wait::Forever => self.cq.recv().ok(),
+        }?;
+        health::beat_bytes(HbPhase::Io, cqe.len as u64);
+        self.io_ns.set(self.io_ns.get() + cqe.service_ns);
+        let mut buf = cqe
+            .buf
+            .and_then(SqBuf::into_owned)
+            .expect("window completions return their owned buffer");
+        let res = cqe.result.map_err(IoError::from);
+        Some(match sqe_untoken(cqe.token) {
+            (_, true) => LaneDone::Write {
+                buf,
+                res: res.map(|_| ()),
+            },
+            (seq, false) => {
+                let res = res.map(|n| buf[n..cqe.len].fill(0)); // past EOF reads as zeros
+                LaneDone::Read { seq, buf, res }
+            }
+        })
+    }
+}
+
+/// Spawn a synchronous storage lane inside `scope`: it runs each window
+/// read or write-back it is handed, with the same full-transfer retry
+/// semantics as a queue worker, and replies with its [`Cqe`].
+fn spawn_lane<'scope>(
     scope: &'scope std::thread::Scope<'scope, '_>,
     storage: &'scope dyn StorageFile,
-    rx: Receiver<Job>,
-    done: Sender<LaneDone>,
-    io_ns: &'scope AtomicU64,
+    rx: Receiver<Sqe>,
+    cq: Sender<Cqe>,
 ) {
-    if let Some(queue) = storage.submission() {
-        spawn_ring_lane(scope, queue, rx, done, io_ns, false);
-        return;
-    }
     let th = lio_obs::trace::thread_handle();
-    let hh = health::thread_handle();
     scope.spawn(move || {
         lio_obs::trace::adopt(th);
-        health::adopt(hh);
         lio_pfs::take_spin_ns();
-        for job in rx.iter() {
-            let Job {
-                seq,
-                off,
-                len,
-                mut buf,
-            } = job;
+        for Sqe { token, op } in rx.iter() {
             let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("io.read", off, len as u64);
-            let res = read_window(storage, off, &mut buf[..len]);
-            drop(sp);
-            // a slow device still completes jobs: each one refreshes the
-            // owning rank's heartbeat, so slow never reads as stuck
-            health::beat_bytes(HbPhase::Io, len as u64);
+            let (result, buf, len) = match op {
+                SqOp::Read { off, mut buf, len } => {
+                    let _sp = lio_obs::trace::span_ab("io.read", off, len as u64);
+                    let r = retry::read_full_at(storage, off, &mut buf.as_io_mut()[..len]);
+                    (r, buf, len)
+                }
+                SqOp::Write { off, buf, len } => {
+                    let _sp = lio_obs::trace::span_ab("io.write", off, len as u64);
+                    let r = retry::write_full_at(storage, off, &buf.as_io()[..len]);
+                    (r.map(|()| len), buf, len)
+                }
+                SqOp::Sync => unreachable!("lanes carry window I/O only"),
+            };
             // book modelled device time only: the throttle's busy-wait
             // tail is CPU burn and would inflate io_ns / overlap_ns
-            let spin = lio_pfs::take_spin_ns();
-            io_ns.fetch_add(
-                lio_obs::elapsed_ns(t).saturating_sub(spin),
-                Ordering::Relaxed,
-            );
-            if done.send(LaneDone::Read { seq, buf, res }).is_err() {
-                break;
-            }
-        }
-    });
-}
-
-/// Spawn the write-back lane inside `scope` (ring variant when the
-/// backend exposes a [`SubmissionQueue`]; see [`spawn_read_lane`]).
-fn spawn_write_lane<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    storage: &'scope dyn StorageFile,
-    rx: Receiver<Job>,
-    done: Sender<LaneDone>,
-    io_ns: &'scope AtomicU64,
-) {
-    if let Some(queue) = storage.submission() {
-        spawn_ring_lane(scope, queue, rx, done, io_ns, true);
-        return;
-    }
-    let th = lio_obs::trace::thread_handle();
-    let hh = health::thread_handle();
-    scope.spawn(move || {
-        lio_obs::trace::adopt(th);
-        health::adopt(hh);
-        lio_pfs::take_spin_ns();
-        for job in rx.iter() {
-            let t = lio_obs::now();
-            let sp = lio_obs::trace::span_ab("io.write", job.off, job.len as u64);
-            let res = write_window(storage, job.off, &job.buf[..job.len]);
-            drop(sp);
-            health::beat_bytes(HbPhase::Io, job.len as u64);
-            let spin = lio_pfs::take_spin_ns();
-            io_ns.fetch_add(
-                lio_obs::elapsed_ns(t).saturating_sub(spin),
-                Ordering::Relaxed,
-            );
-            if done.send(LaneDone::Write { buf: job.buf, res }).is_err() {
-                break;
-            }
-        }
-    });
-}
-
-/// The submission-queue storage lane: a submitter thread pushes every
-/// arriving job straight onto the backend's ring (the window seq is the
-/// submission token), and a harvester thread turns completions — in
-/// whatever order the device produces them — back into [`LaneDone`]s.
-///
-/// Window buffers travel through the ring as [`SqBuf::Owned`] and come
-/// back at full capacity (the queue never truncates), which the engines'
-/// buffer recycling depends on. Short reads are EOF by the queue's
-/// contract, so the harvester zero-fills the tail exactly like the
-/// synchronous lane's `read_window`. `io_ns` books the device service
-/// time reported per completion, keeping the overlap accounting
-/// comparable with the synchronous lanes.
-fn spawn_ring_lane<'scope>(
-    scope: &'scope std::thread::Scope<'scope, '_>,
-    queue: &'scope SubmissionQueue,
-    rx: Receiver<Job>,
-    done: Sender<LaneDone>,
-    io_ns: &'scope AtomicU64,
-    write: bool,
-) {
-    let (cq_tx, cq_rx) = mpsc::channel();
-    let th = lio_obs::trace::thread_handle();
-    let hh = health::thread_handle();
-    scope.spawn(move || {
-        lio_obs::trace::adopt(th);
-        health::adopt(hh);
-        for job in rx.iter() {
-            let name = if write {
-                "io.submit.write"
-            } else {
-                "io.submit.read"
+            let service_ns = lio_obs::elapsed_ns(t).saturating_sub(lio_pfs::take_spin_ns());
+            let cqe = Cqe {
+                token,
+                result,
+                buf: Some(buf),
+                len,
+                service_ns,
             };
-            let _sp = lio_obs::trace::span_ab(name, job.off, job.len as u64);
-            let sqe = if write {
-                Sqe::write(job.seq, job.off, SqBuf::Owned(job.buf), job.len)
-            } else {
-                Sqe::read(job.seq, job.off, SqBuf::Owned(job.buf), job.len)
-            };
-            queue.submit(sqe, &cq_tx);
-        }
-        // cq_tx drops here; the harvester exits once in-flight entries
-        // have all completed.
-    });
-    let th = lio_obs::trace::thread_handle();
-    let hh = health::thread_handle();
-    scope.spawn(move || {
-        lio_obs::trace::adopt(th);
-        health::adopt(hh);
-        for cqe in cq_rx.iter() {
-            health::beat_bytes(HbPhase::Io, cqe.len as u64);
-            io_ns.fetch_add(cqe.service_ns, Ordering::Relaxed);
-            let mut buf = cqe
-                .buf
-                .expect("ring completions return their buffer")
-                .into_owned()
-                .expect("the lane submits owned buffers");
-            let d = if write {
-                LaneDone::Write {
-                    buf,
-                    res: cqe.result.map(|_| ()).map_err(IoError::from),
-                }
-            } else {
-                let res = match cqe.result {
-                    Ok(n) => {
-                        buf[n..cqe.len].fill(0); // past EOF reads as zeros
-                        Ok(())
-                    }
-                    Err(e) => Err(IoError::from(e)),
-                };
-                LaneDone::Read {
-                    seq: cqe.token,
-                    buf,
-                    res,
-                }
-            };
-            if done.send(d).is_err() {
+            if cq.send(cqe).is_err() {
                 break;
             }
         }
@@ -844,17 +847,9 @@ impl<'a> IopWrite<'a> {
     /// One scheduling round: absorb completions and messages, keep up to
     /// `depth` windows in flight, place + write-back the front window as
     /// soon as its pre-read and all its messages are in.
-    fn pump(
-        &mut self,
-        comm: &Comm,
-        rjob_tx: &Sender<Job>,
-        wjob_tx: &Sender<Job>,
-        done_rx: &Receiver<LaneDone>,
-        obs: bool,
-        pack_ns: &mut u64,
-    ) -> bool {
+    fn pump(&mut self, comm: &Comm, lanes: &Lanes, obs: bool, pack_ns: &mut u64) -> bool {
         let mut progressed = false;
-        while let Ok(d) = done_rx.try_recv() {
+        while let Some(d) = lanes.next_done(Wait::Poll) {
             self.on_done(d);
             progressed = true;
         }
@@ -902,15 +897,7 @@ impl<'a> IopWrite<'a> {
                             ready: true,
                         });
                     } else {
-                        let ok = rjob_tx
-                            .send(Job {
-                                seq,
-                                off: plan.io_lo,
-                                len,
-                                buf,
-                            })
-                            .is_ok();
-                        debug_assert!(ok, "read lane outlives the event loop");
+                        lanes.submit(false, seq, plan.io_lo, len, buf);
                         self.reads_outstanding += 1;
                         self.queue.push_back(ScheduledWin {
                             seq,
@@ -947,20 +934,19 @@ impl<'a> IopWrite<'a> {
             }
             let mut sched = self.queue.pop_front().expect("front exists");
             let buf = sched.buf.take().expect("ready window owns its buffer");
-            self.consume_front(sched.seq, &sched.plan, buf, comm, wjob_tx, pack_ns);
+            self.consume_front(sched.seq, &sched.plan, buf, comm, lanes, pack_ns);
             progressed = true;
         }
         progressed
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn consume_front(
         &mut self,
         seq: u64,
         plan: &WindowPlan,
         mut buf: Vec<u8>,
         comm: &Comm,
-        wjob_tx: &Sender<Job>,
+        lanes: &Lanes,
         pack_ns: &mut u64,
     ) {
         let len = (plan.io_hi - plan.io_lo) as usize;
@@ -991,15 +977,7 @@ impl<'a> IopWrite<'a> {
         drop(sp);
         *pack_ns += lio_obs::elapsed_ns(t);
         if self.fatal.is_none() {
-            let ok = wjob_tx
-                .send(Job {
-                    seq,
-                    off: plan.io_lo,
-                    len,
-                    buf,
-                })
-                .is_ok();
-            debug_assert!(ok, "write lane outlives the event loop");
+            lanes.submit(true, seq, plan.io_lo, len, buf);
             self.writes_outstanding += 1;
         } else {
             self.free_bufs.push(buf);
@@ -1094,17 +1072,10 @@ pub(crate) fn write_at_all(
     let mut iop = planner.map(|p| IopWrite::new(p, depth));
 
     // ----- pipeline loop: AP production, credits, IOP consumption ------
-    let io_lane_ns = AtomicU64::new(0);
+    let mut io_ns = 0u64;
     let mut fatal: Option<IoError> = None;
     std::thread::scope(|scope| {
-        let (rjob_tx, rjob_rx) = mpsc::channel::<Job>();
-        let (wjob_tx, wjob_rx) = mpsc::channel::<Job>();
-        let (done_tx, done_rx) = mpsc::channel::<LaneDone>();
-        if iop.is_some() {
-            spawn_read_lane(scope, storage, rjob_rx, done_tx.clone(), &io_lane_ns);
-            spawn_write_lane(scope, storage, wjob_rx, done_tx.clone(), &io_lane_ns);
-        }
-        drop(done_tx);
+        let lanes = iop.is_some().then(|| Lanes::start(scope, storage, true));
         loop {
             let mut progressed = ap_pump(
                 &mut aps,
@@ -1125,8 +1096,8 @@ pub(crate) fn write_at_all(
                     .in_flight -= 1;
                 progressed = true;
             }
-            if let Some(st) = iop.as_mut() {
-                progressed |= st.pump(comm, &rjob_tx, &wjob_tx, &done_rx, obs, &mut pack_ns);
+            if let (Some(st), Some(lanes)) = (iop.as_mut(), lanes.as_ref()) {
+                progressed |= st.pump(comm, lanes, obs, &mut pack_ns);
             }
             let aps_done = aps.iter().flatten().all(|a| a.finished());
             if aps_done && iop.as_ref().is_none_or(|s| s.done()) {
@@ -1136,16 +1107,17 @@ pub(crate) fn write_at_all(
                 continue;
             }
             if iop.as_ref().is_some_and(|s| s.storage_pending()) {
-                // Blocked solely on storage: wait on the done channel (a
-                // completion wakes us immediately) and book the stall as
-                // I/O wait, not exchange. The storage lanes heartbeat per
-                // completed job, so no beat is needed here.
+                // Blocked solely on storage: wait for a completion (one
+                // wakes us immediately) and book the stall as I/O wait,
+                // not exchange. Every completion heartbeats, so no beat is
+                // needed here.
+                let lanes = lanes.as_ref().expect("storage pending implies IOP");
                 let t = lio_obs::now();
                 let sp = lio_obs::trace::span("io.wait");
-                let got = done_rx.recv_timeout(IO_WAIT_SLICE);
+                let got = lanes.next_done(Wait::For(IO_WAIT_SLICE));
                 drop(sp);
                 io_wait_ns += lio_obs::elapsed_ns(t);
-                if let Ok(d) = got {
+                if let Some(d) = got {
                     iop.as_mut()
                         .expect("storage pending implies IOP")
                         .on_done(d);
@@ -1156,6 +1128,10 @@ pub(crate) fn write_at_all(
                 health::beat(HbPhase::ExchangeWait);
                 std::thread::yield_now();
             }
+        }
+        if let Some(l) = lanes {
+            io_ns = l.io_ns.get();
+            io_wait_ns += l.submit_ns.get();
         }
         fatal = iop.take().and_then(|s| s.fatal);
     });
@@ -1168,7 +1144,6 @@ pub(crate) fn write_at_all(
             Some(_) => tu.abort_op(),
             None => {
                 let wall = lio_obs::elapsed_ns(t_all);
-                let io_ns = io_lane_ns.load(Ordering::Relaxed);
                 let exch_ns = wall.saturating_sub(pack_ns + io_wait_ns);
                 tu.finish_op(OpOutcome {
                     write: true,
@@ -1186,7 +1161,6 @@ pub(crate) fn write_at_all(
     comm.barrier();
     if obs {
         let wall = lio_obs::elapsed_ns(t_all);
-        let io_ns = io_lane_ns.load(Ordering::Relaxed);
         let exch_ns = wall.saturating_sub(pack_ns + io_wait_ns);
         OBS_W_EXCH_NS.add(exch_ns);
         OBS_W_PACK_NS.add(pack_ns);
@@ -1265,14 +1239,12 @@ pub(crate) fn read_at_all(
     }
 
     // ----- IOP pipeline: pre-read depth windows ahead, ship shares -----
-    let io_lane_ns = AtomicU64::new(0);
+    let mut io_ns = 0u64;
     let mut fatal: Option<IoError> = None;
     if me < naggr && domains[me].1 > domains[me].0 {
         if let Some(mut planner) = Planner::collect(comm, domains[me], cb, engine, state, false)? {
             std::thread::scope(|scope| {
-                let (rjob_tx, rjob_rx) = mpsc::channel::<Job>();
-                let (done_tx, done_rx) = mpsc::channel::<LaneDone>();
-                spawn_read_lane(scope, storage, rjob_rx, done_tx, &io_lane_ns);
+                let lanes = Lanes::start(scope, storage, false);
                 let mut queue: VecDeque<WindowPlan> = VecDeque::new();
                 let mut free_bufs: Vec<Vec<u8>> = Vec::new();
                 let mut bufs_allocated = 0usize;
@@ -1298,15 +1270,8 @@ pub(crate) fn read_at_all(
                                 if obs {
                                     OBS_WINDOWS.incr();
                                 }
-                                let ok = rjob_tx
-                                    .send(Job {
-                                        seq: next_seq,
-                                        off: plan.io_lo,
-                                        len: (plan.io_hi - plan.io_lo) as usize,
-                                        buf,
-                                    })
-                                    .is_ok();
-                                debug_assert!(ok, "read lane outlives the loop");
+                                let len = (plan.io_hi - plan.io_lo) as usize;
+                                lanes.submit(false, next_seq, plan.io_lo, len, buf);
                                 next_seq += 1;
                                 queue.push_back(plan);
                                 if obs {
@@ -1322,10 +1287,10 @@ pub(crate) fn read_at_all(
                     let Some(plan) = queue.pop_front() else {
                         break;
                     };
-                    // Plans were submitted in seq order, but the lane may
-                    // complete them out of order (the submission-queue
-                    // backend harvests in device order): buffer strays
-                    // until the front window's own completion lands.
+                    // Plans were submitted in seq order, but they may
+                    // complete out of order (the submission-queue backend
+                    // completes in device order): buffer strays until the
+                    // front window's own completion lands.
                     let seq = front_seq;
                     front_seq += 1;
                     let (buf, res) = loop {
@@ -1334,7 +1299,9 @@ pub(crate) fn read_at_all(
                         }
                         let t = lio_obs::now();
                         let sp = lio_obs::trace::span("io.wait");
-                        let done = done_rx.recv().expect("read lane alive");
+                        let done = lanes
+                            .next_done(Wait::Forever)
+                            .expect("storage lanes outlive the event loop");
                         drop(sp);
                         io_wait_ns += lio_obs::elapsed_ns(t);
                         let LaneDone::Read { seq: got, buf, res } = done else {
@@ -1381,6 +1348,8 @@ pub(crate) fn read_at_all(
                     pack_ns += lio_obs::elapsed_ns(t);
                     free_bufs.push(buf);
                 }
+                io_ns = lanes.io_ns.get();
+                io_wait_ns += lanes.submit_ns.get();
             });
         }
     }
@@ -1418,7 +1387,6 @@ pub(crate) fn read_at_all(
     }
     if obs {
         let wall = lio_obs::elapsed_ns(t_all);
-        let io_ns = io_lane_ns.load(Ordering::Relaxed);
         let exch_ns = wall.saturating_sub(pack_ns + io_wait_ns);
         OBS_R_EXCH_NS.add(exch_ns);
         OBS_R_PACK_NS.add(pack_ns);
@@ -1432,7 +1400,6 @@ pub(crate) fn read_at_all(
             Some(_) => tu.abort_op(),
             None => {
                 let wall = lio_obs::elapsed_ns(t_all);
-                let io_ns = io_lane_ns.load(Ordering::Relaxed);
                 let exch_ns = wall.saturating_sub(pack_ns + io_wait_ns);
                 tu.finish_op(OpOutcome {
                     write: false,
@@ -1454,5 +1421,25 @@ pub(crate) fn read_at_all(
             Err(e)
         }
         None => Ok(total),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sqe_token_round_trips() {
+        for seq in [0, 1, 2, 0xFFFF_FFFF, u64::MAX >> 1] {
+            for write in [false, true] {
+                assert_eq!(sqe_untoken(sqe_token(seq, write)), (seq, write));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the submission token")]
+    fn sqe_token_refuses_to_wrap() {
+        sqe_token((u64::MAX >> 1) + 1, false);
     }
 }

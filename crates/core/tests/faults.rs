@@ -9,21 +9,28 @@
 //! ([`lio_testkit::repro_hint`]); setting `LIO_FAULT_SEED` narrows the
 //! corpus to that one seed for replay.
 //!
-//! The final test is crash-consistency: a fail-stop torn write mid-
-//! collective must surface as an error on at least one rank, and the
-//! file must never contain a byte that no serial schedule of the old
-//! and new contents could produce.
+//! The pipelined variants also run with the fault decorator *beneath* a
+//! one-worker submission queue ([`lio_pfs::OsFile`]), so the event
+//! loop's direct submit/harvest path sees retried faults, blocking
+//! submits and shuffled completions.
+//!
+//! The crash-consistency tests: a fail-stop torn write mid-collective
+//! must surface as an error on at least one rank, and the file must
+//! never contain a byte that no serial schedule of the old and new
+//! contents could produce; behind the queue, a device lost from the
+//! first write must fail every rank with a storage error, promptly.
 
 mod common;
 
 use common::{pattern, reference_write};
-use lio_core::{File, Hints, SharedFile};
+use lio_core::{File, Hints, IoError, SharedFile};
 use lio_datatype::{Datatype, Field};
 use lio_mpi::World;
 use lio_pfs::decorate::{FaultPlan, FaultyFile};
-use lio_pfs::MemFile;
+use lio_pfs::{MemFile, OsConfig, OsFile, QueueConfig};
 use lio_testkit as tk;
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 /// The cyclically interleaved filetype used throughout: `nblock` blocks
 /// of `sblock` bytes, one block per stride of `slots` block slots.
@@ -51,11 +58,28 @@ fn interleaved_ft(sblock: u64, nblock: u64, slots: u64) -> Datatype {
     .unwrap()
 }
 
+/// A one-worker queue of `depth` that picks queued entries in a
+/// seed-shuffled order: submits past `depth` block the submitting event
+/// loop, and with `depth > 1` completions come back out of order.
+fn tight_queue(seed: u64, depth: usize) -> OsConfig {
+    OsConfig {
+        queue: QueueConfig {
+            workers: 1,
+            depth,
+            shuffle_seed: Some(seed),
+        },
+        ..OsConfig::default()
+    }
+}
+
 /// One collective write + sync + full read-back with the seed's storage
 /// and communication fault schedules armed; every rank asserts its
-/// read-back in-world. Returns the injection-free file snapshot.
+/// read-back in-world. `queue_depth` puts the faulty device behind a
+/// [`tight_queue`]. Returns the injection-free file snapshot.
+#[allow(clippy::too_many_arguments)]
 fn run_faulty_case(
     hints: Hints,
+    queue_depth: Option<usize>,
     seed: u64,
     nprocs: usize,
     sblock: u64,
@@ -64,7 +88,11 @@ fn run_faulty_case(
     steps: u64,
 ) -> Vec<u8> {
     let mem = Arc::new(MemFile::new());
-    let shared = SharedFile::new(FaultyFile::new(Arc::clone(&mem), tk::fault_plan(seed)));
+    let faulty = FaultyFile::new(Arc::clone(&mem), tk::fault_plan(seed));
+    let shared = match queue_depth {
+        Some(d) => SharedFile::new(OsFile::over(faulty, tight_queue(seed, d))),
+        None => SharedFile::new(faulty),
+    };
     World::run(nprocs, move |comm| {
         comm.set_fault_plan(Some(tk::comm_fault_plan(seed, comm.rank())));
         let me = comm.rank() as u64;
@@ -131,21 +159,22 @@ fn fault_corpus_matches_reference() {
                 let holey = rng.below(2) == 1;
                 let steps = 1 + rng.below(2);
 
+                let pipelined = |h: Hints| h.cb_buffer(cb).pipelined(true).pipeline_depth(2);
                 let variants = [
-                    Hints::list_based().cb_buffer(cb),
-                    Hints::list_based()
-                        .cb_buffer(cb)
-                        .pipelined(true)
-                        .pipeline_depth(2),
-                    Hints::listless().cb_buffer(cb),
-                    Hints::listless()
-                        .cb_buffer(cb)
-                        .pipelined(true)
-                        .pipeline_depth(2),
+                    (Hints::list_based().cb_buffer(cb), None),
+                    (pipelined(Hints::list_based()), None),
+                    (Hints::listless().cb_buffer(cb), None),
+                    (pipelined(Hints::listless()), None),
+                    // one-deep queue: every submit waits for the worker
+                    (pipelined(Hints::list_based()), Some(1)),
+                    (pipelined(Hints::listless()), Some(1)),
+                    // deeper queue: shuffled, out-of-order completions
+                    (pipelined(Hints::list_based()), Some(3)),
+                    (pipelined(Hints::listless()), Some(3)),
                 ];
                 let mut want = reference_file(nprocs, sblock, nblock, holey, steps);
-                for (i, &h) in variants.iter().enumerate() {
-                    let mut got = run_faulty_case(h, seed, nprocs, sblock, nblock, holey, steps);
+                for (i, &(h, q)) in variants.iter().enumerate() {
+                    let mut got = run_faulty_case(h, q, seed, nprocs, sblock, nblock, holey, steps);
                     let n = want.len().max(got.len());
                     want.resize(n, 0);
                     got.resize(n, 0);
@@ -235,5 +264,47 @@ fn torn_write_leaves_serially_explainable_bytes() {
                  produces it"
             );
         }
+    }
+}
+
+/// A device that tears its first write and fails every later one, behind
+/// a one-worker, one-deep queue: the pipelined write's direct
+/// submit/harvest path must bring every rank back with `IoError::Storage`
+/// (every rank is an IOP whose write-back fails), without hanging or
+/// panicking.
+#[test]
+fn lost_device_behind_queue_fails_every_rank_promptly() {
+    let nprocs = 4usize;
+    let (sblock, nblock) = (32u64, 6u64);
+    for hints in [Hints::list_based(), Hints::listless()] {
+        let hints = hints.cb_buffer(64).pipelined(true).pipeline_depth(2);
+        let plan = FaultPlan {
+            torn_after: Some(1),
+            ..FaultPlan::disabled()
+        };
+        let faulty = FaultyFile::new(Arc::new(MemFile::new()), plan);
+        let shared = SharedFile::new(OsFile::over(faulty, tight_queue(0x5EED, 1)));
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let results = World::run(nprocs, move |comm| {
+                let me = comm.rank() as u64;
+                let ft = interleaved_ft(sblock, nblock, nprocs as u64);
+                let mut f = File::open(comm, shared.clone(), hints).unwrap();
+                f.set_view(me * sblock, Datatype::byte(), ft).unwrap();
+                let data = pattern((nblock * sblock) as usize, me);
+                f.write_at_all(0, &data, nblock * sblock, &Datatype::byte())
+                    .err()
+                    .map(|e| matches!(e, IoError::Storage(_)))
+            });
+            let _ = tx.send(results);
+        });
+        let results = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("every rank must return (no hang, no panic) once the device is lost");
+        assert_eq!(
+            results,
+            vec![Some(true); nprocs],
+            "every rank must fail with IoError::Storage"
+        );
     }
 }
