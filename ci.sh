@@ -73,15 +73,22 @@ for pt in 1 4; do
   LIO_PACK_THREADS=$pt cargo test -q -p lio-core --test collective --test pipeline --test faults
 done
 
-# The suites again with the pack-kernel mode forced both ways: every
-# kernel family must be bit-identical to the scalar reference loop, so
-# the same differential cases must pass with the kernels disabled and
-# with the best CPU-supported family engaged.
+# The suites again with the pack-kernel mode forced both ways: the
+# fixed-width kernels must be bit-identical to the scalar reference
+# loop, so the same differential cases must pass with the kernels
+# disabled and engaged.
 for pk in scalar auto; do
   echo "== collective/pipeline/faults/datatype suites under LIO_PACK_KERNEL=$pk"
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-core --test collective --test pipeline --test faults
   LIO_PACK_KERNEL=$pk cargo test -q -p lio-datatype
 done
+
+# The kernels are portable loops that rely on the compiler's vector
+# lowering, so run the kernel differential tests once more under the
+# widest codegen this host supports (its own target dir, so the flags
+# never mix with the default build).
+echo "== datatype suites under RUSTFLAGS=-C target-cpu=native"
+RUSTFLAGS="-C target-cpu=native" cargo test -q -p lio-datatype --target-dir target/native
 
 # Self-tuning corpus: the differential suites with the tuner armed on
 # every file — the tuner may only move performance knobs, so every

@@ -328,21 +328,10 @@ pub struct TunerState {
     report: TuneReport,
 }
 
-fn env_flag(name: &str) -> Option<bool> {
-    match std::env::var(name) {
-        Ok(v) => match v.as_str() {
-            "1" | "on" | "true" | "enable" => Some(true),
-            "0" | "off" | "false" | "disable" => Some(false),
-            _ => None,
-        },
-        Err(_) => None,
-    }
-}
-
 impl TunerState {
     pub fn new(base: &Hints) -> TunerState {
         let mut knobs = Knobs::from_hints(base);
-        let frozen_pipeline = env_flag("LIO_PIPELINE");
+        let frozen_pipeline = lio_obs::env_flag("LIO_PIPELINE");
         if let Some(v) = frozen_pipeline {
             knobs.pipelined = v;
         }

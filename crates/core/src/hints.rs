@@ -161,11 +161,11 @@ pub struct Hints {
     /// environment variable overrides this hint (see
     /// [`Hints::effective_pack_threads`]).
     pub pack_threads: usize,
-    /// Pack-kernel family for the compiled run-program interpreter:
+    /// Pack-kernel mode for the compiled run-program interpreter:
     /// `Some(mode)` forces the process-global kernel mode at open time
-    /// (`auto` picks the best family the CPU supports per frame; `scalar`
-    /// disables the fixed-block kernels; `fixed`/`sse2`/`avx2` force one
-    /// family, degrading to what the CPU supports). `None` (the default)
+    /// (`auto` runs the fixed-width kernel of every eligible frame;
+    /// `scalar` disables the fixed-block kernels; the retired family
+    /// names `fixed`/`sse2`/`avx2` parse as `auto`). `None` (the default)
     /// leaves the process-global setting (and the `LIO_PACK_KERNEL`
     /// environment variable) in charge. See
     /// [`Hints::effective_pack_kernel`].
@@ -305,18 +305,12 @@ impl Hints {
     }
 
     /// Whether opens with these hints arm the online knob tuner, honoring
-    /// the `LIO_AUTOTUNE` environment override: `1`/`on`/`true`/`enable`
-    /// forces it on, `0`/`off`/`false`/`disable` forces it off, anything
-    /// else (or unset) defers to the `autotune` hint (off when `None`).
+    /// the `LIO_AUTOTUNE` environment override ([`lio_obs::env_flag`]):
+    /// `1`/`on`/`true`/`enable` forces it on, `0`/`off`/`false`/`disable`
+    /// forces it off, anything else (or unset) defers to the `autotune`
+    /// hint (off when `None`).
     pub fn autotune_enabled(&self) -> bool {
-        match std::env::var("LIO_AUTOTUNE") {
-            Ok(v) => match v.as_str() {
-                "1" | "on" | "true" | "enable" => true,
-                "0" | "off" | "false" | "disable" => false,
-                _ => self.autotune == Some(true),
-            },
-            Err(_) => self.autotune == Some(true),
-        }
+        lio_obs::env_flag("LIO_AUTOTUNE").unwrap_or(self.autotune == Some(true))
     }
 
     /// Select the storage backend for backend-aware opens (builder
@@ -365,8 +359,8 @@ impl Hints {
     }
 
     /// The pack-kernel mode this open should install, honoring the
-    /// `LIO_PACK_KERNEL` environment override (`auto`, `scalar`, `fixed`,
-    /// `sse2`, `avx2`; anything unparseable or unset defers to the
+    /// `LIO_PACK_KERNEL` environment override (`auto` or `scalar`;
+    /// anything unparseable or unset defers to the
     /// `pack_kernel` hint). Returns `None` when neither the environment
     /// nor the hint asks for anything — the process-global default
     /// (`auto`) stays in charge.
@@ -397,18 +391,12 @@ impl Hints {
     }
 
     /// Whether collective calls take the pipelined path, honoring the
-    /// `LIO_PIPELINE` environment override: `1`/`on`/`true`/`enable`
-    /// forces it on, `0`/`off`/`false`/`disable` forces it off, anything
-    /// else (or unset) defers to the `two_phase_pipeline` hint.
+    /// `LIO_PIPELINE` environment override ([`lio_obs::env_flag`]):
+    /// `1`/`on`/`true`/`enable` forces it on, `0`/`off`/`false`/`disable`
+    /// forces it off, anything else (or unset) defers to the
+    /// `two_phase_pipeline` hint.
     pub fn pipeline_enabled(&self) -> bool {
-        match std::env::var("LIO_PIPELINE") {
-            Ok(v) => match v.as_str() {
-                "1" | "on" | "true" | "enable" => true,
-                "0" | "off" | "false" | "disable" => false,
-                _ => self.two_phase_pipeline,
-            },
-            Err(_) => self.two_phase_pipeline,
-        }
+        lio_obs::env_flag("LIO_PIPELINE").unwrap_or(self.two_phase_pipeline)
     }
 
     /// Pipeline depth with the ≥ 1 invariant enforced.
@@ -487,9 +475,9 @@ impl Hints {
     /// sieve/direct/auto), `detect_dense_writes` (`true`/`false`),
     /// `two_phase_pipeline` (`enable`/`disable`), `pipeline_depth`
     /// (windows in flight, ≥ 1), `pack_threads` (sharded pack/unpack
-    /// workers; 0 = auto), `pack_kernel` (`auto`/`scalar`/`fixed`/
-    /// `sse2`/`avx2` — pack-kernel family for compiled run programs),
-    /// `backend` (`mem`/`throttled`/`os` — storage substrate for
+    /// workers; 0 = auto), `pack_kernel` (`auto`/`scalar` — pack-kernel
+    /// mode for compiled run programs; `fixed`/`sse2`/`avx2` parse as
+    /// `auto`), `backend` (`mem`/`throttled`/`os` — storage substrate for
     /// backend-aware opens), `lio_obs` (`enable`/`disable` — force
     /// metrics recording at open), `lio_trace` (`enable`/`disable` —
     /// force event tracing at open), `lio_health` (`enable`/`disable`
@@ -573,9 +561,10 @@ impl Hints {
                         .map_err(|_| HintError::new(k, v, "expected a thread count (0 = auto)"))?;
                 }
                 "pack_kernel" => {
-                    self.pack_kernel = Some(PackKernel::parse(v).ok_or_else(|| {
-                        HintError::new(k, v, "expected auto, scalar, fixed, sse2, or avx2")
-                    })?);
+                    self.pack_kernel = Some(
+                        PackKernel::parse(v)
+                            .ok_or_else(|| HintError::new(k, v, "expected auto or scalar"))?,
+                    );
                 }
                 "backend" => {
                     self.backend = BackendKind::parse(v)
@@ -796,10 +785,11 @@ mod info_tests {
             .apply_info([("pack_kernel", "scalar")])
             .unwrap();
         assert_eq!(h.pack_kernel, Some(PackKernel::Scalar));
+        // a retired family name still parses, as `auto`
         let h = Hints::default()
             .apply_info([("pack_kernel", "avx2")])
             .unwrap();
-        assert_eq!(h.pack_kernel, Some(PackKernel::Avx2));
+        assert_eq!(h.pack_kernel, Some(PackKernel::Auto));
         assert!(Hints::default()
             .apply_info([("pack_kernel", "warp9")])
             .is_err());
@@ -808,11 +798,11 @@ mod info_tests {
             .to_info()
             .iter()
             .all(|(k, _)| k != "pack_kernel"));
-        let pairs = Hints::default().pack_kernel(PackKernel::Fixed).to_info();
+        let pairs = Hints::default().pack_kernel(PackKernel::Scalar).to_info();
         let back = Hints::list_based()
             .apply_info(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())))
             .unwrap();
-        assert_eq!(back.pack_kernel, Some(PackKernel::Fixed));
+        assert_eq!(back.pack_kernel, Some(PackKernel::Scalar));
     }
 
     #[test]
@@ -823,9 +813,9 @@ mod info_tests {
         assert_eq!(Hints::default().effective_pack_kernel(), None);
         assert_eq!(
             Hints::default()
-                .pack_kernel(PackKernel::Sse2)
+                .pack_kernel(PackKernel::Scalar)
                 .effective_pack_kernel(),
-            Some(PackKernel::Sse2)
+            Some(PackKernel::Scalar)
         );
     }
 

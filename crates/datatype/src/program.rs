@@ -33,10 +33,10 @@
 //!   what the pass accomplished.
 //!
 //! After normalization every `Blocks` frame records its kernel selection
-//! ([`crate::kernels::Sel`]): block-size class, alignment class, and the
-//! fixed-width/SIMD copy kernel that `auto` mode resolves to, so the
-//! interpreter's hot loop is one direct gather/scatter call per frame
-//! region with no per-block dispatch (see [`crate::kernels`]).
+//! ([`crate::kernels::Sel`]): the block-size class whose fixed-width copy
+//! kernel `auto` mode runs, so the interpreter's hot loop is one direct
+//! gather/scatter call per frame region with no per-block dispatch (see
+//! [`crate::kernels`]).
 //!
 //! The interpreter therefore preserves the paper's navigation contract:
 //! entry at an arbitrary `skipbytes` costs `O(depth)` (one division per
@@ -55,7 +55,7 @@ use std::sync::Arc;
 
 use lio_obs::LazyCounter;
 
-use crate::kernels::{self, Kind, Mode, Sel};
+use crate::kernels::{self, Mode, Sel};
 use crate::types::{Datatype, TypeKind};
 
 static OBS_COMPILE_PROGRAMS: LazyCounter = LazyCounter::new("dt.compile.programs");
@@ -194,7 +194,7 @@ impl RunProgram {
             OBS_NORM_REWRITES.add(rewrites as u64);
         }
         if let Some(root) = &root {
-            // count frames that selected a vector-eligible kernel
+            // count frames that selected a fixed-width kernel
             let selected = count_selected(root);
             if selected > 0 {
                 kernels::OBS_KERNEL_SELECTED.add(selected);
@@ -842,13 +842,13 @@ trait Sink {
     fn copy(&mut self, pos: i64, n: usize);
 
     /// Move `full` blocks of `class` bytes, `stride` apart from typed
-    /// position `start`, through kernel `kind`, advancing the cursor.
+    /// position `start`, through the class's fixed-width kernel,
+    /// advancing the cursor.
     ///
     /// # Safety
-    /// Every block lies inside the typed buffer, `full * class <=
-    /// room()`, and the CPU supports `kind` (it came from
-    /// [`kernels::resolve`]).
-    unsafe fn kernel(&mut self, kind: Kind, class: u8, start: usize, stride: i64, full: u64);
+    /// Every block lies inside the typed buffer and `full * class <=
+    /// room()`.
+    unsafe fn kernel(&mut self, class: u8, start: usize, stride: i64, full: u64);
 
     #[inline]
     fn full(&self) -> bool {
@@ -873,25 +873,25 @@ trait Sink {
     fn blocks(&mut self, start: i64, stride: i64, block: u64, count: u64, sel: Sel) {
         let full = count.min(self.room() as u64 / block);
         if full > 0 {
-            let kind = kernels::resolve(sel, self.state().mode);
+            let kernel = sel.eligible() && self.state().mode == Mode::Auto;
             let end = start + (full as i64 - 1) * stride + block as i64;
             let in_bounds = start >= 0 && end >= 0 && end as u64 <= self.typed_len() as u64;
             if stride == block as i64 {
                 // touching blocks: the region is one contiguous run
                 self.copy(start, (full * block) as usize);
-            } else if kind != Kind::Scalar && in_bounds {
+            } else if kernel && in_bounds {
                 // SAFETY: kernels engage only on positive strides
                 // (`Sel::select`), so `in_bounds` puts every block inside
                 // the typed buffer; `full * block <= room()` by the
                 // choice of `full`, and `class == block` for a selected
-                // frame; `kind` comes from `kernels::resolve`.
-                unsafe { self.kernel(kind, sel.class, start as usize, stride, full) };
+                // frame.
+                unsafe { self.kernel(sel.class, start as usize, stride, full) };
                 if self.state().obs {
                     kernels::OBS_KERNEL_BLOCKS.add(full);
                     kernels::OBS_KERNEL_BYTES.add(full * block);
                 }
             } else {
-                if kind != Kind::Scalar {
+                if kernel {
                     kernels::OBS_KERNEL_FALLBACKS.incr();
                 }
                 // scalar reference path (also preserves the original
@@ -964,12 +964,11 @@ impl Sink for PackSink<'_> {
         self.st.cursor += n;
     }
 
-    unsafe fn kernel(&mut self, kind: Kind, class: u8, start: usize, stride: i64, full: u64) {
+    unsafe fn kernel(&mut self, class: u8, start: usize, stride: i64, full: u64) {
         // SAFETY: the caller proves the blocks lie inside `src` and that
         // `out` has `full * class` bytes of room at the cursor.
         unsafe {
             kernels::gather(
-                kind,
                 class,
                 self.src.as_ptr().add(start),
                 stride as isize,
@@ -1010,12 +1009,11 @@ impl Sink for UnpackSink<'_> {
         self.st.cursor += n;
     }
 
-    unsafe fn kernel(&mut self, kind: Kind, class: u8, start: usize, stride: i64, full: u64) {
+    unsafe fn kernel(&mut self, class: u8, start: usize, stride: i64, full: u64) {
         // SAFETY: the caller proves the blocks lie inside `dst` and that
         // `packbuf` holds `full * class` bytes from the cursor.
         unsafe {
             kernels::scatter(
-                kind,
                 class,
                 self.packbuf.as_ptr().add(self.st.cursor),
                 self.dst.as_mut_ptr().add(start),

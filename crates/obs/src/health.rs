@@ -79,30 +79,25 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
-/// Read `LIO_HEALTH` once per process and enable the layer unless the
-/// value is `0`, `false`, or `off`. Absent leaves the current setting
-/// alone. Also reads the watchdog knobs: `LIO_HEALTH_DEADLINE_MS`
-/// (no-progress deadline, default 5000), `LIO_HEALTH_ABORT`
-/// (`1`/`on`/`true` parks a typed stall for the culprit rank instead of
-/// diagnosing only), and `LIO_HEALTH_STATUS` (a path that receives a
-/// periodic schema-versioned JSON status report).
+/// Read `LIO_HEALTH` once per process and turn the layer on or off as
+/// [`crate::env_flag`] parses it. Absent or unparsable leaves the current
+/// setting alone. Also reads the watchdog knobs: `LIO_HEALTH_DEADLINE_MS`
+/// (no-progress deadline, default 5000), `LIO_HEALTH_ABORT` (a
+/// [`crate::env_flag`] switch; on parks a typed stall for the culprit
+/// rank instead of diagnosing only), and `LIO_HEALTH_STATUS` (a path that
+/// receives a periodic schema-versioned JSON status report).
 pub fn init_from_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_HEALTH") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
+        if let Some(on) = crate::env_flag("LIO_HEALTH") {
+            set_enabled(on);
         }
         if let Ok(v) = std::env::var("LIO_HEALTH_DEADLINE_MS") {
             if let Ok(ms) = v.trim().parse::<u64>() {
                 set_watchdog(ms.max(1), abort_configured());
             }
         }
-        if let Ok(v) = std::env::var("LIO_HEALTH_ABORT") {
-            let on = matches!(
-                v.to_ascii_lowercase().as_str(),
-                "1" | "on" | "true" | "enable"
-            );
+        if let Some(on) = crate::env_flag("LIO_HEALTH_ABORT") {
             WD_ABORT.store(on, Relaxed);
         }
     });

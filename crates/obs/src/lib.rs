@@ -61,18 +61,33 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Relaxed);
 }
 
-/// Read the `LIO_OBS` environment variable once per process and enable
-/// recording unless it is `0`, `false`, or `off`. Absent means "leave the
-/// current setting alone". Call sites that open files or run benchmarks
-/// invoke this; repeated calls are free.
+/// Read the `LIO_OBS` environment variable once per process and turn
+/// recording on or off as [`env_flag`] parses it. Absent or unparsable
+/// means "leave the current setting alone". Call sites that open files or
+/// run benchmarks invoke this; repeated calls are free.
 pub fn init_from_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_OBS") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
+        if let Some(on) = env_flag("LIO_OBS") {
+            set_enabled(on);
         }
     });
+}
+
+/// The one boolean parser for `LIO_*` switches: `1`/`on`/`true`/`enable`
+/// is `Some(true)`, `0`/`off`/`false`/`disable` is `Some(false)`, matched
+/// case-insensitively. Unset or any other value is `None`, so the caller
+/// keeps its current setting.
+pub fn env_flag(name: &str) -> Option<bool> {
+    parse_flag(&std::env::var(name).ok()?)
+}
+
+fn parse_flag(v: &str) -> Option<bool> {
+    match v.trim().to_ascii_lowercase().as_str() {
+        "1" | "on" | "true" | "enable" => Some(true),
+        "0" | "off" | "false" | "disable" => Some(false),
+        _ => None,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -694,6 +709,25 @@ mod tests {
         let r = f();
         set_enabled(false);
         r
+    }
+
+    #[test]
+    fn env_flag_parses_both_ways_and_ignores_the_rest() {
+        for v in ["1", "on", "true", "enable", "ON", "Enable"] {
+            assert_eq!(parse_flag(v), Some(true), "{v}");
+        }
+        for v in ["0", "off", "false", "disable", "OFF", "Disable"] {
+            assert_eq!(parse_flag(v), Some(false), "{v}");
+        }
+        for v in ["", "yes", "2", "disabled"] {
+            assert_eq!(parse_flag(v), None, "{v}");
+        }
+        // the variable is read from the environment; unset is `None`
+        const VAR: &str = "LIO_OBS_ENV_FLAG_UNIT_TEST";
+        assert_eq!(env_flag(VAR), None);
+        std::env::set_var(VAR, "disable");
+        assert_eq!(env_flag(VAR), Some(false));
+        std::env::remove_var(VAR);
     }
 
     #[test]

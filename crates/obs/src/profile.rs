@@ -55,14 +55,13 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Read the `LIO_PROFILE` environment variable once per process and
-/// enable profiling unless it is `0`, `false`, or `off`. Absent means
-/// "leave the current setting alone".
+/// turn profiling on or off as [`crate::env_flag`] parses it. Absent or
+/// unparsable means "leave the current setting alone".
 pub fn init_from_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_PROFILE") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
+        if let Some(on) = crate::env_flag("LIO_PROFILE") {
+            set_enabled(on);
         }
     });
 }
@@ -1094,8 +1093,9 @@ fn rule_pack_kernel(p: &ProfileSnapshot) -> Option<Recommendation> {
             reason: format!(
                 "run-program block-size histogram has median {p50} B (min {mn} B): most \
                  copies fall in the 2–{KERNEL_MAX_BLOCK} B fixed-block classes where the \
-                 vector kernels measure ≥ 1.3× over the scalar interpreter (BENCH_pack), \
-                 so keep pack_kernel=auto and let per-frame selection engage them"
+                 fixed-width kernels beat the per-block scalar loop (BENCH_pack \
+                 pack_kernels), so keep pack_kernel=auto and let per-frame selection \
+                 engage them"
             ),
         })
     } else {

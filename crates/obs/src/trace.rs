@@ -60,15 +60,15 @@ pub fn set_enabled(on: bool) {
     TRACE_ENABLED.store(on, Relaxed);
 }
 
-/// Read the `LIO_TRACE` environment variable once per process and enable
-/// tracing unless it is `0`, `false`, or `off`. Absent means "leave the
-/// current setting alone"; repeated calls are free.
+/// Read the `LIO_TRACE` environment variable once per process and turn
+/// tracing on or off as [`crate::env_flag`] parses it. Absent or
+/// unparsable means "leave the current setting alone"; repeated calls
+/// are free.
 pub fn init_from_env() {
     static ONCE: Once = Once::new();
     ONCE.call_once(|| {
-        if let Ok(v) = std::env::var("LIO_TRACE") {
-            let v = v.to_ascii_lowercase();
-            set_enabled(!matches!(v.as_str(), "0" | "false" | "off" | ""));
+        if let Some(on) = crate::env_flag("LIO_TRACE") {
+            set_enabled(on);
         }
     });
 }
