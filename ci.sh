@@ -21,6 +21,12 @@ cargo test -q
 echo "== cargo test -q --workspace"
 cargo test -q --workspace
 
+# The benchmark package is its own workspace, so nothing above builds
+# it: build and test it here so a library API change that breaks the
+# benchmark fails CI.
+echo "== perfbench: cargo test -q --release"
+cargo test -q --release --manifest-path perfbench/Cargo.toml
+
 # The collective suites again with the pipeline override forced both
 # ways, so every differential case runs both the monolithic and the
 # pipelined schedule regardless of per-test hints. (pipeline_mem is
@@ -62,15 +68,6 @@ for be in mem os; do
     echo "  -- LIO_BACKEND=$be LIO_PIPELINE=$pipe"
     LIO_BACKEND=$be LIO_PIPELINE=$pipe cargo test -q -p lio-core --test backend
   done
-done
-
-# The collective suites again with the sharded pack/unpack forced on
-# and off: LIO_PACK_THREADS=4 routes every listless memtype copy above
-# the threshold through the multi-threaded shard path, so a sharding
-# bug fails the same differential cases the single-threaded path passes.
-for pt in 1 4; do
-  echo "== collective suites under LIO_PACK_THREADS=$pt"
-  LIO_PACK_THREADS=$pt cargo test -q -p lio-core --test collective --test pipeline --test faults
 done
 
 # The suites again with the pack-kernel mode forced both ways: the

@@ -744,6 +744,8 @@ fn metrics(opts: &Opts) {
     use lio_mpi::World;
     use lio_pfs::{CountingFile, MemFile, Throttle, ThrottledFile};
     use std::time::Duration;
+    /// The config that writes and reads back through a nested memtype.
+    const NESTED_PACK: &str = "listless_nested_pack";
 
     let nprocs = 4usize;
     let nblock: u64 = if opts.quick { 256 } else { 1024 };
@@ -793,12 +795,12 @@ fn metrics(opts: &Opts) {
             false,
         ));
     }
-    // listless with a nested non-contiguous memtype big enough to cross
-    // the sharding threshold: exercises the compiled run programs
-    // (`dt.compile.*`) and the sharded copy (`dt.pack.shard.*`)
+    // listless with a nested non-contiguous memtype: the only config
+    // that exercises the compiled run programs (`dt.compile.*`), the
+    // normalization pass (`dt.normalize.*`) and the kernels (`dt.kernel.*`)
     configs.push((
-        "listless_sharded_pack".to_string(),
-        Hints::listless().pack_threads(4).io_nodes(1),
+        NESTED_PACK.to_string(),
+        Hints::listless().io_nodes(1),
         false,
     ));
 
@@ -829,16 +831,17 @@ fn metrics(opts: &Opts) {
             SharedFile::new(CountingFile::new(MemFile::new()))
         };
         let hints = *hints;
+        let nested = key == NESTED_PACK;
         let shared2 = shared.clone();
-        let shard_n: u64 = if opts.quick { 1024 } else { 2048 };
+        let nested_n: u64 = if opts.quick { 1024 } else { 2048 };
         World::run(nprocs, move |comm| {
             let me = comm.rank() as u64;
             let mut f = File::open(comm, shared2.clone(), hints).expect("open");
-            if hints.pack_threads > 1 {
+            if nested {
                 // vector-of-vector memtype (a two-frame program), with
-                // ≥ 1 MiB of data per rank so the copy shards
+                // ≥ 1 MiB of data per rank
                 let inner = Datatype::vector(16, 1, 2, &Datatype::basic(64)).unwrap();
-                let mem = Datatype::vector(shard_n, 1, 2, &inner).unwrap();
+                let mem = Datatype::vector(nested_n, 1, 2, &inner).unwrap();
                 let size = mem.size();
                 let span = mem.extent() as usize;
                 let src: Vec<u8> = (0..span)
@@ -853,7 +856,7 @@ fn metrics(opts: &Opts) {
                 let mut b = vec![0u8; size as usize];
                 lio_datatype::ff_pack(&src, 1, &mem, 0, &mut a);
                 lio_datatype::ff_pack(&back, 1, &mem, 0, &mut b);
-                assert_eq!(a, b, "sharded read-back mismatch");
+                assert_eq!(a, b, "nested read-back mismatch");
                 return;
             }
             let ft = lio_noncontig::figure4_filetype(me, nprocs as u64, nblock, sblock);
@@ -875,13 +878,11 @@ fn metrics(opts: &Opts) {
             snap.counter("core.coll.exchange.list_bytes"),
             snap.counter("core.coll.exchange.data_bytes"),
         );
-        if hints.pack_threads > 1 {
+        if nested {
             println!(
-                "  {key}: {} compiled programs ({} frames), {} pack shards, {} shard fallbacks",
+                "  {key}: {} compiled programs ({} frames)",
                 snap.counter("dt.compile.programs"),
                 snap.counter("dt.compile.frames"),
-                snap.counter("dt.pack.shard.shards"),
-                snap.counter("dt.pack.shard.skipped"),
             );
             println!(
                 "  {key}: normalize {} rewrites ({} -> {} frames); kernels: {} frames \
@@ -1311,7 +1312,7 @@ fn profile_cmd(opts: &Opts) {
     // 3. BTIO-style nested memtype: vector-of-vector elements into a
     // contiguous file region — pack-dominated, exercising the compiled
     // run-program shape stats
-    let shard_n: u64 = if opts.quick { 512 } else { 2048 };
+    let nested_n: u64 = if opts.quick { 512 } else { 2048 };
     sections.push((
         "btio_nested_pack",
         profiled("btio_nested_pack", &mut || {
@@ -1321,7 +1322,7 @@ fn profile_cmd(opts: &Opts) {
                 let me = comm.rank() as u64;
                 let mut f = File::open(comm, shared.clone(), Hints::listless()).expect("open");
                 let inner = Datatype::vector(16, 1, 2, &Datatype::basic(64)).unwrap();
-                let mem = Datatype::vector(shard_n, 1, 2, &inner).unwrap();
+                let mem = Datatype::vector(nested_n, 1, 2, &inner).unwrap();
                 let size = mem.size();
                 let span = mem.extent() as usize;
                 let src: Vec<u8> = (0..span)
@@ -1412,7 +1413,8 @@ fn validate_json(path: &str) {
 /// gate. Phase-breakdown slices (`pack_ns`, `io_ns`, …) always warn
 /// only: attribution legitimately shifts between lanes, and a
 /// sub-millisecond slice's run-to-run noise would gate on the host, not
-/// the code.
+/// the code. Baseline rows missing from the current file print as
+/// `DROPPED:` lines and are counted, never failed.
 fn bench_compare(baseline: &str, current: &str, fail: bool) {
     use lio_obs::json::{parse, Value};
 
@@ -1492,9 +1494,18 @@ fn bench_compare(baseline: &str, current: &str, fail: bool) {
             println!("{tag}: {key} regressed {pct:+.1}% ({base_v:.0} {unit} -> {cur_v:.0} {unit})");
         }
     }
+    // rows the baseline has and the current artifact lost: reported, never
+    // failed (a deleted config or metric is a deliberate change)
+    let mut dropped = 0usize;
+    for (key, _, _) in &base_rows {
+        if !cur_rows.iter().any(|(k, _, _)| k == key) {
+            dropped += 1;
+            println!("DROPPED: {key}");
+        }
+    }
     println!(
         "bench-compare: {compared} time metrics compared, {regressions} wall regressions and \
-         {warnings} warnings > {threshold}% ({baseline} -> {current})"
+         {warnings} warnings > {threshold}%, {dropped} baseline rows dropped ({baseline} -> {current})"
     );
     if fail && regressions > 0 {
         eprintln!(

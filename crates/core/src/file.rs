@@ -312,13 +312,7 @@ impl<'c> File<'c> {
         count: u64,
         buf_len: usize,
     ) -> Result<MemPacker> {
-        MemPacker::new(
-            memtype,
-            count,
-            buf_len,
-            hints.engine == Engine::ListBased,
-            hints.effective_pack_threads(),
-        )
+        MemPacker::new(memtype, count, buf_len, hints.engine == Engine::ListBased)
     }
 
     /// Resolve what the next collective op runs with: the tuner's

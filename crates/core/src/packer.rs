@@ -9,7 +9,7 @@
 //! * listless (Section 3.1): `ff_pack`/`ff_unpack` stream the data with no
 //!   materialized representation.
 
-use lio_datatype::{ff_pack_sharded, ff_unpack_sharded, Datatype, OlList};
+use lio_datatype::{ff_pack, ff_unpack, Datatype, OlList};
 
 use crate::error::{IoError, Result};
 
@@ -20,27 +20,19 @@ pub(crate) enum MemPacker {
     Contig { base: usize },
     /// List-based: flatten to an ol-list per access.
     List { list: OlList },
-    /// Listless: flattening-on-the-fly, sharded across `threads`
-    /// workers when the copy is large enough.
-    Ff {
-        memtype: Datatype,
-        count: u64,
-        threads: usize,
-    },
+    /// Listless: flattening-on-the-fly.
+    Ff { memtype: Datatype, count: u64 },
 }
 
 impl MemPacker {
     /// Build a packer for `count` instances of `memtype` over a user
     /// buffer of `buf_len` bytes, using the list-based engine when
-    /// `list_based` is set. `threads` > 1 enables sharded pack/unpack
-    /// for large listless copies. Validates that the buffer covers the
-    /// data.
+    /// `list_based` is set. Validates that the buffer covers the data.
     pub fn new(
         memtype: &Datatype,
         count: u64,
         buf_len: usize,
         list_based: bool,
-        threads: usize,
     ) -> Result<MemPacker> {
         if memtype.data_lb() < 0 {
             return Err(IoError::Usage(
@@ -73,7 +65,6 @@ impl MemPacker {
             Ok(MemPacker::Ff {
                 memtype: memtype.clone(),
                 count,
-                threads,
             })
         }
     }
@@ -89,11 +80,7 @@ impl MemPacker {
                 n
             }
             MemPacker::List { list } => list.pack(user, skip, out),
-            MemPacker::Ff {
-                memtype,
-                count,
-                threads,
-            } => ff_pack_sharded(user, *count, memtype, skip, out, *threads),
+            MemPacker::Ff { memtype, count } => ff_pack(user, *count, memtype, skip, out),
         }
     }
 
@@ -108,11 +95,7 @@ impl MemPacker {
                 n
             }
             MemPacker::List { list } => list.unpack(data, user, skip),
-            MemPacker::Ff {
-                memtype,
-                count,
-                threads,
-            } => ff_unpack_sharded(data, user, *count, memtype, skip, *threads),
+            MemPacker::Ff { memtype, count } => ff_unpack(data, user, *count, memtype, skip),
         }
     }
 
@@ -142,7 +125,7 @@ mod tests {
     #[test]
     fn contig_passthrough() {
         let m = Datatype::contiguous(4, &Datatype::double()).unwrap();
-        let p = MemPacker::new(&m, 1, 32, false, 1).unwrap();
+        let p = MemPacker::new(&m, 1, 32, false).unwrap();
         assert!(p.is_contiguous());
         let user: Vec<u8> = (0..32).collect();
         let mut out = vec![0u8; 16];
@@ -154,8 +137,8 @@ mod tests {
     fn engines_pack_identically() {
         let m = lio_datatype::Datatype::vector(5, 3, 5, &Datatype::int()).unwrap();
         let user: Vec<u8> = (0..m.extent() as usize * 2).map(|i| i as u8).collect();
-        let a = MemPacker::new(&m, 2, user.len(), true, 1).unwrap();
-        let b = MemPacker::new(&m, 2, user.len(), false, 1).unwrap();
+        let a = MemPacker::new(&m, 2, user.len(), true).unwrap();
+        let b = MemPacker::new(&m, 2, user.len(), false).unwrap();
         let total = (m.size() * 2) as usize;
         for skip in [0u64, 1, 7, 60] {
             let mut oa = vec![0u8; total - skip as usize];
@@ -174,8 +157,8 @@ mod tests {
         let span = m.extent() as usize * 2;
         let mut ua = vec![0xAAu8; span];
         let mut ub = vec![0xAAu8; span];
-        let a = MemPacker::new(&m, 2, span, true, 1).unwrap();
-        let b = MemPacker::new(&m, 2, span, false, 1).unwrap();
+        let a = MemPacker::new(&m, 2, span, true).unwrap();
+        let b = MemPacker::new(&m, 2, span, false).unwrap();
         a.unpack(&data, &mut ua, 0);
         b.unpack(&data, &mut ub, 0);
         assert_eq!(ua, ub);
@@ -184,27 +167,27 @@ mod tests {
     #[test]
     fn buffer_too_small_rejected() {
         let m = Datatype::contiguous(4, &Datatype::double()).unwrap();
-        assert!(MemPacker::new(&m, 1, 31, false, 1).is_err());
-        assert!(MemPacker::new(&m, 1, 32, false, 1).is_ok());
+        assert!(MemPacker::new(&m, 1, 31, false).is_err());
+        assert!(MemPacker::new(&m, 1, 32, false).is_ok());
     }
 
     #[test]
     fn negative_lb_rejected() {
         let m = Datatype::resized(&Datatype::int(), -4, 8).unwrap();
         let shifted = Datatype::hindexed(&[1], &[-8], &Datatype::int()).unwrap();
-        assert!(MemPacker::new(&shifted, 1, 64, false, 1).is_err());
+        assert!(MemPacker::new(&shifted, 1, 64, false).is_err());
         // resized with negative lb but non-negative data is fine
-        assert!(MemPacker::new(&m, 1, 64, false, 1).is_ok());
+        assert!(MemPacker::new(&m, 1, 64, false).is_ok());
     }
 
     #[test]
     fn single_instance_gappy_type_is_contig_when_single_run() {
         // a resized int: one data run but extent 12
         let m = Datatype::resized(&Datatype::int(), 0, 12).unwrap();
-        let p = MemPacker::new(&m, 1, 12, false, 1).unwrap();
+        let p = MemPacker::new(&m, 1, 12, false).unwrap();
         assert!(p.is_contiguous());
         // two instances: gaps between runs, not contiguous
-        let p2 = MemPacker::new(&m, 2, 24, false, 1).unwrap();
+        let p2 = MemPacker::new(&m, 2, 24, false).unwrap();
         assert!(!p2.is_contiguous());
     }
 }

@@ -316,14 +316,9 @@ fn slow_backends_heartbeat_instead_of_tripping_the_watchdog() {
 
 #[test]
 fn straggler_streak_feeds_report_and_autotuner() {
-    if [
-        "LIO_PIPELINE",
-        "LIO_PACK_THREADS",
-        "LIO_PROFILE",
-        "LIO_AUTOTUNE",
-    ]
-    .iter()
-    .any(|k| std::env::var(k).is_ok())
+    if ["LIO_PIPELINE", "LIO_PROFILE", "LIO_AUTOTUNE"]
+        .iter()
+        .any(|k| std::env::var(k).is_ok())
     {
         // pinned knobs freeze the tuner's moves; skip under corpus reruns
         return;

@@ -108,6 +108,7 @@ fn first_malformed_pair_wins_and_unknown_keys_pass() {
     let err = Hints::default()
         .apply_info([
             ("utterly_unknown", "ignored"),
+            ("pack_threads", "4"),
             ("cb_nodes", "many"),
             ("engine", "also_bad"),
         ])

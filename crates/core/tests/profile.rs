@@ -114,8 +114,8 @@ fn profile_json_is_well_formed_and_advice_grounded() {
     let recs_json = profile::recommendations_json(&recs);
     lio_obs::json::validate(&recs_json).expect("advice export must be well-formed JSON");
     // a non-contiguous collective workload must at least decide the
-    // engine, pipelining, and pack-threads questions, with reasons
-    for rule in ["engine", "pipelining", "pack_threads"] {
+    // engine and pipelining questions, with reasons
+    for rule in ["engine", "pipelining"] {
         let r = recs
             .iter()
             .find(|r| r.rule == rule)

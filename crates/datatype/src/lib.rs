@@ -57,9 +57,7 @@ pub mod types;
 
 pub use darray::{darray, Distrib};
 pub use ff::{
-    bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_pack_sharded, ff_pack_shards,
-    ff_size, ff_unpack, ff_unpack_at, ff_unpack_sharded, ff_unpack_shards, SHARD_MIN_BYTES,
-    SHARD_MIN_TOTAL,
+    bytes_below_tiled, ff_extent, ff_offset, ff_pack, ff_pack_at, ff_size, ff_unpack, ff_unpack_at,
 };
 pub use flatten::{OlList, OlPos, OlSeg};
 pub use iter::FlatIter;

@@ -44,8 +44,8 @@
 //! proportional only to the bytes moved.
 //!
 //! [`RunProgram::pack_into`] / [`RunProgram::unpack_into`] are the
-//! listless engine's only copy loop: `ff_pack`/`ff_unpack` (sharded or
-//! not) and the fileview's window place/extract all run them.
+//! listless engine's only copy loop: `ff_pack`/`ff_unpack` and the
+//! fileview's window place/extract all run them, single-threaded.
 //!
 //! Programs are cached per datatype node behind a `OnceLock`, so repeated
 //! I/O on the same fileview or memtype pays compilation once; the

@@ -20,6 +20,11 @@ const TAG_HINDEXED: u8 = 6;
 const TAG_STRUCT: u8 = 7;
 const TAG_RESIZED: u8 = 8;
 
+/// Deepest nesting [`decode`] accepts. Decoding recurses once per level,
+/// so an unbounded depth lets a small hostile buffer overflow the stack;
+/// real types (subarrays, darrays, nested vectors) stay far below this.
+const MAX_DECODE_DEPTH: u32 = 128;
+
 /// Encode a datatype tree into a compact byte vector.
 pub fn encode(d: &Datatype) -> Vec<u8> {
     let mut out = Vec::with_capacity(64);
@@ -83,7 +88,7 @@ pub fn encode_into(d: &Datatype, out: &mut Vec<u8>) {
 /// Decode a datatype tree previously produced by [`encode`].
 pub fn decode(buf: &[u8]) -> Result<Datatype, TypeError> {
     let mut pos = 0usize;
-    let d = decode_at(buf, &mut pos)?;
+    let d = decode_at(buf, &mut pos, 0)?;
     if pos != buf.len() {
         return Err(TypeError::Corrupt(format!(
             "{} trailing bytes after type encoding",
@@ -93,7 +98,12 @@ pub fn decode(buf: &[u8]) -> Result<Datatype, TypeError> {
     Ok(d)
 }
 
-fn decode_at(buf: &[u8], pos: &mut usize) -> Result<Datatype, TypeError> {
+fn decode_at(buf: &[u8], pos: &mut usize, depth: u32) -> Result<Datatype, TypeError> {
+    if depth >= MAX_DECODE_DEPTH {
+        return Err(TypeError::Corrupt(format!(
+            "type nesting deeper than {MAX_DECODE_DEPTH} levels"
+        )));
+    }
     let tag = take(buf, pos, 1)?[0];
     match tag {
         TAG_BASIC => {
@@ -107,14 +117,14 @@ fn decode_at(buf: &[u8], pos: &mut usize) -> Result<Datatype, TypeError> {
         TAG_UB => Ok(Datatype::ub_marker()),
         TAG_CONTIG => {
             let count = get_u64(buf, pos)?;
-            let child = decode_at(buf, pos)?;
+            let child = decode_at(buf, pos, depth + 1)?;
             Datatype::contiguous(count, &child)
         }
         TAG_HVECTOR => {
             let count = get_u64(buf, pos)?;
             let blocklen = get_u64(buf, pos)?;
             let stride = get_i64(buf, pos)?;
-            let child = decode_at(buf, pos)?;
+            let child = decode_at(buf, pos, depth + 1)?;
             Datatype::hvector(count, blocklen, stride, &child)
         }
         TAG_HINDEXED => {
@@ -128,7 +138,7 @@ fn decode_at(buf: &[u8], pos: &mut usize) -> Result<Datatype, TypeError> {
                 disps.push(get_i64(buf, pos)?);
                 lens.push(get_u64(buf, pos)?);
             }
-            let child = decode_at(buf, pos)?;
+            let child = decode_at(buf, pos, depth + 1)?;
             Datatype::hindexed(&lens, &disps, &child)
         }
         TAG_STRUCT => {
@@ -140,7 +150,7 @@ fn decode_at(buf: &[u8], pos: &mut usize) -> Result<Datatype, TypeError> {
             for _ in 0..n {
                 let disp = get_i64(buf, pos)?;
                 let count = get_u64(buf, pos)?;
-                let child = decode_at(buf, pos)?;
+                let child = decode_at(buf, pos, depth + 1)?;
                 fields.push(Field { disp, count, child });
             }
             Datatype::struct_type(fields)
@@ -148,7 +158,7 @@ fn decode_at(buf: &[u8], pos: &mut usize) -> Result<Datatype, TypeError> {
         TAG_RESIZED => {
             let lb = get_i64(buf, pos)?;
             let extent = get_u64(buf, pos)?;
-            let child = decode_at(buf, pos)?;
+            let child = decode_at(buf, pos, depth + 1)?;
             Datatype::resized(&child, lb, extent)
         }
         other => Err(TypeError::Corrupt(format!("unknown type tag {other}"))),
@@ -283,5 +293,49 @@ mod tests {
         buf.extend_from_slice(&1_000_000u64.to_le_bytes());
         buf.push(0);
         assert!(decode(&buf).is_err());
+    }
+
+    fn resized_byte_wire(extent: u64) -> Vec<u8> {
+        let mut buf = vec![TAG_RESIZED];
+        buf.extend_from_slice(&0i64.to_le_bytes());
+        buf.extend_from_slice(&extent.to_le_bytes());
+        buf.push(TAG_BASIC);
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn decode_rejects_contiguous_bound_overflow() {
+        // 2^62 instances of a 16-byte extent: the upper bound is 2^66
+        let mut buf = vec![TAG_CONTIG];
+        buf.extend_from_slice(&(1u64 << 62).to_le_bytes());
+        buf.extend_from_slice(&resized_byte_wire(16));
+        assert!(matches!(decode(&buf), Err(TypeError::InvalidCount(_))));
+    }
+
+    #[test]
+    fn decode_rejects_resized_extent_past_i64() {
+        let buf = resized_byte_wire(u64::MAX);
+        assert!(matches!(decode(&buf), Err(TypeError::InvalidCount(_))));
+    }
+
+    #[test]
+    fn decode_rejects_deep_nesting_on_a_small_stack() {
+        // 10 000 nested contiguous(1) records around one byte: ~90 KB of
+        // input that would recurse once per record
+        let mut buf = Vec::new();
+        for _ in 0..10_000 {
+            buf.push(TAG_CONTIG);
+            buf.extend_from_slice(&1u64.to_le_bytes());
+        }
+        buf.push(TAG_BASIC);
+        buf.extend_from_slice(&1u64.to_le_bytes());
+        let r = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || decode(&buf))
+            .expect("spawn decode thread")
+            .join()
+            .expect("decode thread panicked");
+        assert!(matches!(r, Err(TypeError::Corrupt(_))));
     }
 }

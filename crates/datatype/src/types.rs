@@ -297,27 +297,23 @@ impl Datatype {
             .size
             .checked_mul(count)
             .ok_or_else(|| TypeError::InvalidCount("contiguous size overflow".into()))?;
+        // a per-instance bound `b`, moved to the last instance
+        let last = |b: i64| last_rep(count, ext, b).ok_or_else(|| bounds_overflow("contiguous"));
         let (data_lb, data_ub) = if count == 0 || m.size == 0 {
             (0, 0)
         } else {
-            (m.data_lb, (count as i64 - 1) * ext + m.data_ub)
+            (m.data_lb, last(m.data_ub)?)
         };
-        let explicit_lb = m.explicit_lb.map(|l| {
-            // markers repeat with each instance; the minimum is at the first
-            // or last instance depending on the sign of the extent
-            if count == 0 {
-                l
-            } else {
-                l.min((count as i64 - 1) * ext + l)
-            }
-        });
-        let explicit_ub = m.explicit_ub.map(|u| {
-            if count == 0 {
-                u
-            } else {
-                u.max((count as i64 - 1) * ext + u)
-            }
-        });
+        // markers repeat with each instance; the minimum is at the first
+        // or last instance depending on the sign of the extent
+        let explicit_lb = match m.explicit_lb {
+            Some(l) if count > 0 => Some(l.min(last(l)?)),
+            l => l,
+        };
+        let explicit_ub = match m.explicit_ub {
+            Some(u) if count > 0 => Some(u.max(last(u)?)),
+            u => u,
+        };
         let lb = explicit_lb.unwrap_or(data_lb);
         let ub = explicit_ub.unwrap_or(data_ub);
         let single_run = match (count, m.single_run) {
@@ -333,14 +329,14 @@ impl Datatype {
         // data begins.
         let monotone = m.monotone
             && data_lb >= 0
-            && (count <= 1 || (ext >= 0 && m.data_ub <= ext + m.data_lb));
-        Ok(Datatype(Arc::new(Node {
-            program: OnceLock::new(),
-            kind: TypeKind::Contiguous {
+            && (count <= 1 || (ext >= 0 && m.data_ub <= ext.saturating_add(m.data_lb)));
+        finish(
+            "contiguous",
+            TypeKind::Contiguous {
                 count,
                 child: child.clone(),
             },
-            meta: Meta {
+            Meta {
                 size,
                 lb,
                 ub,
@@ -354,7 +350,7 @@ impl Datatype {
                 monotone,
                 size_prefix: None,
             },
-        })))
+        )
     }
 
     /// `MPI_Type_vector`: `count` blocks of `blocklen` child instances,
@@ -366,7 +362,10 @@ impl Datatype {
         child: &Datatype,
     ) -> Result<Datatype, TypeError> {
         let ext = child.extent() as i64;
-        Datatype::hvector(count, blocklen, stride * ext, child)
+        let stride = stride
+            .checked_mul(ext)
+            .ok_or_else(|| bounds_overflow("vector"))?;
+        Datatype::hvector(count, blocklen, stride, child)
     }
 
     /// `MPI_Type_create_hvector`: like [`Datatype::vector`] but the stride
@@ -389,24 +388,41 @@ impl Datatype {
 
         // Displacements of the child instances: i*stride + j*ext for
         // i in 0..count, j in 0..blocklen.
+        let ovf = || bounds_overflow("hvector");
         let empty = count == 0 || blocklen == 0;
-        let span = |per_inst_lo: i64, per_inst_hi: i64| -> (i64, i64) {
+        let (last_block, last_in_block) = if empty {
+            (0, 0)
+        } else {
+            (
+                last_rep(count, stride, 0).ok_or_else(ovf)?,
+                last_rep(blocklen, ext, 0).ok_or_else(ovf)?,
+            )
+        };
+        let span = |per_inst_lo: i64, per_inst_hi: i64| -> Result<(i64, i64), TypeError> {
             if empty {
-                return (0, 0);
+                return Ok((0, 0));
             }
-            let last_block = (count as i64 - 1) * stride;
-            let last_in_block = (blocklen as i64 - 1) * ext;
-            let lo = per_inst_lo + 0i64.min(last_block) + 0i64.min(last_in_block);
-            let hi = per_inst_hi + 0i64.max(last_block) + 0i64.max(last_in_block);
-            (lo, hi)
+            let lo = per_inst_lo
+                .checked_add(last_block.min(0))
+                .and_then(|v| v.checked_add(last_in_block.min(0)));
+            let hi = per_inst_hi
+                .checked_add(last_block.max(0))
+                .and_then(|v| v.checked_add(last_in_block.max(0)));
+            lo.zip(hi).ok_or_else(ovf)
         };
         let (data_lb, data_ub) = if empty || m.size == 0 {
             (0, 0)
         } else {
-            span(m.data_lb, m.data_ub)
+            span(m.data_lb, m.data_ub)?
         };
-        let explicit_lb = m.explicit_lb.map(|l| if empty { l } else { span(l, l).0 });
-        let explicit_ub = m.explicit_ub.map(|u| if empty { u } else { span(u, u).1 });
+        let explicit_lb = match m.explicit_lb {
+            Some(l) if !empty => Some(span(l, l)?.0),
+            l => l,
+        };
+        let explicit_ub = match m.explicit_ub {
+            Some(u) if !empty => Some(span(u, u)?.1),
+            u => u,
+        };
         let lb = explicit_lb.unwrap_or(data_lb);
         let ub = explicit_ub.unwrap_or(data_ub);
 
@@ -415,32 +431,35 @@ impl Datatype {
             None
         } else if count == 1 && blocklen == 1 {
             m.single_run
-        } else if dense_child && (count == 1 || stride == blocklen as i64 * ext) {
+        } else if dense_child && (count == 1 || last_in_block.checked_add(ext) == Some(stride)) {
             // child instances tile seamlessly within and across blocks
             m.single_run
         } else {
             None
         };
         let leaf_runs = m.leaf_runs.saturating_mul(blocklen).saturating_mul(count);
+        // `None` (overflow) is a block no stride can clear
         let block_extent = if blocklen == 0 {
-            0
+            Some(0)
         } else {
-            (blocklen as i64 - 1) * ext + m.data_ub - m.data_lb
+            last_in_block
+                .checked_add(m.data_ub)
+                .and_then(|v| v.checked_sub(m.data_lb))
         };
         let monotone = m.monotone
             && data_lb >= 0
             && ext >= 0
-            && (blocklen <= 1 || m.data_ub <= ext + m.data_lb)
-            && (count <= 1 || stride >= block_extent);
-        Ok(Datatype(Arc::new(Node {
-            program: OnceLock::new(),
-            kind: TypeKind::Hvector {
+            && (blocklen <= 1 || m.data_ub <= ext.saturating_add(m.data_lb))
+            && (count <= 1 || block_extent.is_some_and(|e| stride >= e));
+        finish(
+            "hvector",
+            TypeKind::Hvector {
                 count,
                 blocklen,
                 stride,
                 child: child.clone(),
             },
-            meta: Meta {
+            Meta {
                 size,
                 lb,
                 ub,
@@ -454,7 +473,7 @@ impl Datatype {
                 monotone,
                 size_prefix: None,
             },
-        })))
+        )
     }
 
     /// `MPI_Type_indexed`: blocks with displacements in child **extents**.
@@ -470,14 +489,16 @@ impl Datatype {
             });
         }
         let ext = child.extent() as i64;
-        let blocks: Vec<HBlock> = blocklens
+        let blocks = blocklens
             .iter()
             .zip(disps)
-            .map(|(&blocklen, &d)| HBlock {
-                disp: d * ext,
-                blocklen,
+            .map(|(&blocklen, &d)| {
+                let disp = d
+                    .checked_mul(ext)
+                    .ok_or_else(|| bounds_overflow("indexed"))?;
+                Ok(HBlock { disp, blocklen })
             })
-            .collect();
+            .collect::<Result<Vec<HBlock>, TypeError>>()?;
         Datatype::hindexed_blocks(blocks, child)
     }
 
@@ -509,13 +530,15 @@ impl Datatype {
         child: &Datatype,
     ) -> Result<Datatype, TypeError> {
         let ext = child.extent() as i64;
-        let blocks: Vec<HBlock> = disps
+        let blocks = disps
             .iter()
-            .map(|&d| HBlock {
-                disp: d * ext,
-                blocklen,
+            .map(|&d| {
+                let disp = d
+                    .checked_mul(ext)
+                    .ok_or_else(|| bounds_overflow("indexed_block"))?;
+                Ok(HBlock { disp, blocklen })
             })
-            .collect();
+            .collect::<Result<Vec<HBlock>, TypeError>>()?;
         Datatype::hindexed_blocks(blocks, child)
     }
 
@@ -537,20 +560,26 @@ impl Datatype {
         let mut leaf_runs: u64 = 0;
         let needs_tiling = blocks.iter().any(|b| b.blocklen > 1);
         let mut monotone =
-            m.monotone && ext >= 0 && (!needs_tiling || m.data_ub <= ext + m.data_lb);
+            m.monotone && ext >= 0 && (!needs_tiling || m.data_ub <= ext.saturating_add(m.data_lb));
         let mut prev_end: i64 = i64::MIN;
 
+        let ovf = || bounds_overflow("hindexed");
         for b in &blocks {
-            let bsize = m.size.saturating_mul(b.blocklen);
-            size = size
-                .checked_add(bsize)
+            size = m
+                .size
+                .checked_mul(b.blocklen)
+                .and_then(|bsize| size.checked_add(bsize))
                 .ok_or_else(|| TypeError::InvalidCount("hindexed size overflow".into()))?;
             prefix.push(size);
             leaf_runs = leaf_runs.saturating_add(m.leaf_runs.saturating_mul(b.blocklen));
+            // a per-instance bound `x`, placed at the block's first and
+            // last child instance
+            let first = |x: i64| b.disp.checked_add(x).ok_or_else(ovf);
+            let last = |x: i64| last_rep(b.blocklen, ext, first(x)?).ok_or_else(ovf);
             if b.blocklen > 0 {
                 if m.size > 0 {
-                    let lo = b.disp + m.data_lb;
-                    let hi = b.disp + (b.blocklen as i64 - 1) * ext + m.data_ub;
+                    let lo = first(m.data_lb)?;
+                    let hi = last(m.data_ub)?;
                     data_lb = data_lb.min(lo);
                     data_ub = data_ub.max(hi);
                     if lo < prev_end || lo < 0 {
@@ -559,11 +588,11 @@ impl Datatype {
                     prev_end = prev_end.max(hi);
                 }
                 if let Some(l) = m.explicit_lb {
-                    let cand = b.disp + l;
+                    let cand = first(l)?;
                     explicit_lb = Some(explicit_lb.map_or(cand, |e| e.min(cand)));
                 }
                 if let Some(u) = m.explicit_ub {
-                    let cand = b.disp + (b.blocklen as i64 - 1) * ext + u;
+                    let cand = last(u)?;
                     explicit_ub = Some(explicit_ub.map_or(cand, |e| e.max(cand)));
                 }
             }
@@ -575,13 +604,13 @@ impl Datatype {
         let lb = explicit_lb.unwrap_or(data_lb);
         let ub = explicit_ub.unwrap_or(data_ub);
         let single_run = single_run_of_blocks(&blocks, m, ext, size);
-        Ok(Datatype(Arc::new(Node {
-            program: OnceLock::new(),
-            kind: TypeKind::Hindexed {
+        finish(
+            "hindexed",
+            TypeKind::Hindexed {
                 blocks: blocks.into(),
                 child: child.clone(),
             },
-            meta: Meta {
+            Meta {
                 size,
                 lb,
                 ub,
@@ -595,7 +624,7 @@ impl Datatype {
                 monotone,
                 size_prefix: Some(prefix.into()),
             },
-        })))
+        )
     }
 
     /// `MPI_Type_create_struct`: heterogeneous fields at byte displacements.
@@ -615,35 +644,42 @@ impl Datatype {
         let mut monotone = true;
         let mut prev_end: i64 = i64::MIN;
 
+        let ovf = || bounds_overflow("struct");
         for f in &fields {
             let m = &f.child.0.meta;
             let ext = f.child.extent() as i64;
-            let fsize = m.size.saturating_mul(f.count);
-            size = size
-                .checked_add(fsize)
+            size = m
+                .size
+                .checked_mul(f.count)
+                .and_then(|fsize| size.checked_add(fsize))
                 .ok_or_else(|| TypeError::InvalidCount("struct size overflow".into()))?;
             prefix.push(size);
             depth = depth.max(m.depth + 1);
             leaf_runs = leaf_runs.saturating_add(m.leaf_runs.saturating_mul(f.count));
+            // a per-instance bound `x`, placed at the field's first and
+            // last child instance
+            let first = |x: i64| f.disp.checked_add(x).ok_or_else(ovf);
+            let last = |x: i64| last_rep(f.count, ext, first(x)?).ok_or_else(ovf);
             if f.count > 0 {
                 if m.size > 0 {
-                    let lo = f.disp + m.data_lb;
-                    let hi = f.disp + (f.count as i64 - 1) * ext + m.data_ub;
+                    let lo = first(m.data_lb)?;
+                    let hi = last(m.data_ub)?;
                     data_lb = data_lb.min(lo);
                     data_ub = data_ub.max(hi);
-                    let tile_monotone =
-                        m.monotone && ext >= 0 && (f.count <= 1 || m.data_ub <= ext + m.data_lb);
+                    let tile_monotone = m.monotone
+                        && ext >= 0
+                        && (f.count <= 1 || m.data_ub <= ext.saturating_add(m.data_lb));
                     if !tile_monotone || lo < prev_end || lo < 0 {
                         monotone = false;
                     }
                     prev_end = prev_end.max(hi);
                 }
                 if let Some(l) = m.explicit_lb {
-                    let cand = f.disp + l.min((f.count as i64 - 1) * ext + l);
+                    let cand = first(l)?.min(last(l)?);
                     explicit_lb = Some(explicit_lb.map_or(cand, |e| e.min(cand)));
                 }
                 if let Some(u) = m.explicit_ub {
-                    let cand = f.disp + u.max((f.count as i64 - 1) * ext + u);
+                    let cand = first(u)?.max(last(u)?);
                     explicit_ub = Some(explicit_ub.map_or(cand, |e| e.max(cand)));
                 }
             }
@@ -655,12 +691,12 @@ impl Datatype {
         let lb = explicit_lb.unwrap_or(data_lb);
         let ub = explicit_ub.unwrap_or(data_ub);
         let single_run = single_run_of_fields(&fields, size);
-        Ok(Datatype(Arc::new(Node {
-            program: OnceLock::new(),
-            kind: TypeKind::Struct {
+        finish(
+            "struct",
+            TypeKind::Struct {
                 fields: fields.into(),
             },
-            meta: Meta {
+            Meta {
                 size,
                 lb,
                 ub,
@@ -674,35 +710,39 @@ impl Datatype {
                 monotone,
                 size_prefix: None, // computed on demand via fields (heterogeneous)
             },
-        })))
+        )
     }
 
     /// `MPI_Type_create_resized`: override the child's lower bound and
     /// extent.
     pub fn resized(child: &Datatype, lb: i64, extent: u64) -> Result<Datatype, TypeError> {
         let m = &child.0.meta;
-        Ok(Datatype(Arc::new(Node {
-            program: OnceLock::new(),
-            kind: TypeKind::Resized {
+        let ub = i64::try_from(extent)
+            .ok()
+            .and_then(|e| lb.checked_add(e))
+            .ok_or_else(|| bounds_overflow("resized"))?;
+        finish(
+            "resized",
+            TypeKind::Resized {
                 lb,
                 extent,
                 child: child.clone(),
             },
-            meta: Meta {
+            Meta {
                 size: m.size,
                 lb,
-                ub: lb + extent as i64,
+                ub,
                 data_lb: m.data_lb,
                 data_ub: m.data_ub,
                 explicit_lb: Some(lb),
-                explicit_ub: Some(lb + extent as i64),
+                explicit_ub: Some(ub),
                 depth: m.depth + 1,
                 single_run: m.single_run,
                 leaf_runs: m.leaf_runs,
                 monotone: m.monotone && m.data_lb >= 0,
                 size_prefix: None,
             },
-        })))
+        )
     }
 
     /// `MPI_Type_create_subarray`: an `ndims`-dimensional subarray of
@@ -953,6 +993,36 @@ impl Datatype {
     }
 }
 
+/// The error a constructor returns when a bound does not fit an `i64`.
+/// Counts, strides and displacements may arrive from a peer's fileview
+/// encoding ([`crate::serialize::decode`]), so an overflow is a typed
+/// error, never a wrapped bound or a debug-build panic.
+fn bounds_overflow(ctor: &str) -> TypeError {
+    TypeError::InvalidCount(format!("{ctor} bounds overflow i64"))
+}
+
+/// `(n - 1) · step + base`: a bound of the last of `n ≥ 1` repeats
+/// `step` bytes apart, or `None` when it does not fit an `i64`.
+fn last_rep(n: u64, step: i64, base: i64) -> Option<i64> {
+    i64::try_from(n.checked_sub(1)?)
+        .ok()?
+        .checked_mul(step)?
+        .checked_add(base)
+}
+
+/// Wrap a constructed node, enforcing what [`Datatype::extent`] relies
+/// on: `ub - lb` fits an `i64`.
+fn finish(ctor: &str, kind: TypeKind, meta: Meta) -> Result<Datatype, TypeError> {
+    if meta.ub.checked_sub(meta.lb).is_none() {
+        return Err(bounds_overflow(ctor));
+    }
+    Ok(Datatype(Arc::new(Node {
+        program: OnceLock::new(),
+        kind,
+        meta,
+    })))
+}
+
 /// Determine whether a set of hindexed blocks forms a single contiguous run.
 fn single_run_of_blocks(blocks: &[HBlock], m: &Meta, ext: i64, total_size: u64) -> Option<i64> {
     if total_size == 0 {
@@ -968,12 +1038,12 @@ fn single_run_of_blocks(blocks: &[HBlock], m: &Meta, ext: i64, total_size: u64) 
         let run_start;
         let run_end;
         if b.blocklen == 1 {
-            let s = m.single_run?;
-            run_start = b.disp + s;
-            run_end = run_start + m.size as i64;
+            run_start = b.disp.checked_add(m.single_run?)?;
+            run_end = run_start.checked_add(i64::try_from(m.size).ok()?)?;
         } else if dense_child {
-            run_start = b.disp + m.data_lb;
-            run_end = run_start + (b.blocklen * m.size) as i64;
+            run_start = b.disp.checked_add(m.data_lb)?;
+            run_end =
+                run_start.checked_add(i64::try_from(b.blocklen.checked_mul(m.size)?).ok()?)?;
         } else {
             return None;
         }
@@ -1009,12 +1079,11 @@ fn single_run_of_fields(fields: &[Field], total_size: u64) -> Option<i64> {
         let run_start;
         let run_end;
         if f.count == 1 {
-            let s = m.single_run?;
-            run_start = f.disp + s;
-            run_end = run_start + m.size as i64;
+            run_start = f.disp.checked_add(m.single_run?)?;
+            run_end = run_start.checked_add(i64::try_from(m.size).ok()?)?;
         } else if m.single_run == Some(m.data_lb) && m.size == ext.max(0) as u64 {
-            run_start = f.disp + m.data_lb;
-            run_end = run_start + (f.count * m.size) as i64;
+            run_start = f.disp.checked_add(m.data_lb)?;
+            run_end = run_start.checked_add(i64::try_from(f.count.checked_mul(m.size)?).ok()?)?;
         } else {
             return None;
         }
@@ -1293,6 +1362,80 @@ mod tests {
         let d = Datatype::contiguous(3, &child).unwrap();
         assert!(d.is_monotone());
         assert_eq!(d.leaf_runs(), 6);
+    }
+
+    fn overflows(r: Result<Datatype, TypeError>) -> bool {
+        matches!(r, Err(TypeError::InvalidCount(_)))
+    }
+
+    /// One data byte with a 16-byte extent: counts up to 2^64 keep the
+    /// size in range while the bounds grow 16× faster.
+    fn wide_byte() -> Datatype {
+        Datatype::resized(&Datatype::byte(), 0, 16).unwrap()
+    }
+
+    #[test]
+    fn contiguous_rejects_bound_overflow() {
+        let wide = wide_byte();
+        assert!(overflows(Datatype::contiguous(1 << 62, &wide)));
+        // a count past i64::MAX must not wrap to a negative bound
+        assert!(overflows(Datatype::contiguous(u64::MAX, &Datatype::byte())));
+        let big = Datatype::contiguous(1 << 40, &wide).unwrap();
+        assert_eq!(big.extent(), 16 << 40);
+    }
+
+    #[test]
+    fn hvector_rejects_bound_overflow() {
+        let b = Datatype::byte();
+        assert!(overflows(Datatype::hvector(4, 1, i64::MAX / 2, &b)));
+        assert!(overflows(Datatype::hvector(1, 1 << 62, 0, &wide_byte())));
+        // bounds that fit one by one, but whose extent does not
+        assert!(overflows(Datatype::hvector(2, 1, i64::MIN, &b)));
+        assert!(overflows(Datatype::vector(
+            2,
+            1,
+            i64::MAX,
+            &Datatype::int()
+        )));
+        let far = Datatype::hvector(2, 1, i64::MAX - 1, &b).unwrap();
+        assert_eq!(far.extent(), i64::MAX as u64);
+    }
+
+    #[test]
+    fn hindexed_rejects_bound_overflow() {
+        let i = Datatype::int();
+        assert!(overflows(Datatype::hindexed(&[1], &[i64::MAX], &i)));
+        assert!(overflows(Datatype::hindexed(&[1, 1], &[i64::MIN, 8], &i)));
+        assert!(overflows(Datatype::indexed(&[1], &[i64::MAX / 2], &i)));
+        assert!(overflows(Datatype::indexed_block(1, &[i64::MIN / 2], &i)));
+    }
+
+    #[test]
+    fn struct_rejects_bound_overflow() {
+        let field = |disp, count| Field {
+            disp,
+            count,
+            child: wide_byte(),
+        };
+        assert!(overflows(Datatype::struct_type(vec![field(
+            i64::MAX - 2,
+            1
+        )])));
+        assert!(overflows(Datatype::struct_type(vec![field(0, 1 << 62)])));
+        assert!(overflows(Datatype::struct_type(vec![
+            field(i64::MIN, 1),
+            field(i64::MAX - 8, 1),
+        ])));
+    }
+
+    #[test]
+    fn resized_rejects_bound_overflow() {
+        let b = Datatype::byte();
+        assert!(overflows(Datatype::resized(&b, 0, u64::MAX)));
+        assert!(overflows(Datatype::resized(&b, 0, 1 << 63)));
+        assert!(overflows(Datatype::resized(&b, i64::MAX, 1)));
+        let r = Datatype::resized(&b, -1, i64::MAX as u64).unwrap();
+        assert_eq!(r.extent(), i64::MAX as u64);
     }
 }
 

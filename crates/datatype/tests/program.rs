@@ -1,7 +1,7 @@
-//! Differential corpus for the compiled run programs and the sharded
-//! pack/unpack: for random monotone datatype trees × random skips ×
-//! shard counts {1, 2, 3, 8}, the compiled program, the naive tree
-//! walk, and the sharded copy must produce byte-identical streams.
+//! Differential corpus for the compiled run programs: for random
+//! monotone datatype trees × random skips, the compiled program, the
+//! public `ff_pack`/`ff_unpack` entries and the naive tree walk must
+//! produce byte-identical streams and buffers.
 //!
 //! Seeding follows the fault-corpus convention from `lio-testkit`:
 //! `LIO_FAULT_SEED` replays one seed exactly, otherwise the fixed
@@ -9,13 +9,9 @@
 //! command so a CI failure is reproducible from the log alone.
 
 use lio_datatype::kernels::{self, Mode};
-use lio_datatype::{
-    ff_offset, ff_pack, ff_pack_shards, ff_unpack, ff_unpack_shards, Datatype, Field, FlatIter,
-    RunProgram,
-};
+use lio_datatype::{ff_pack, ff_unpack, Datatype, Field, FlatIter, RunProgram};
 use lio_testkit::{corpus_seeds, Rng};
 
-const SHARD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 const CASES_PER_SEED: u64 = 48;
 
 fn replay(seed: u64, case: u64) -> String {
@@ -25,7 +21,7 @@ fn replay(seed: u64, case: u64) -> String {
 }
 
 /// A random monotone datatype with non-negative data displacements —
-/// the shape sharding supports. Rejection-samples from a generator
+/// the shape a fileview tiles. Rejection-samples from a generator
 /// biased toward nesting (the case the compiled program exists for).
 fn arb_monotone(rng: &mut Rng, depth: u32) -> Datatype {
     loop {
@@ -109,14 +105,30 @@ fn treewalk_pack(src: &[u8], count: u64, d: &Datatype, skip: u64, out: &mut [u8]
     cursor
 }
 
+/// The tree-walk unpack baseline: scatter `stream` along merged leaf
+/// runs, leaving every position the type never touches as it was.
+fn treewalk_unpack(stream: &[u8], dst: &mut [u8], count: u64, d: &Datatype, skip: u64) -> usize {
+    let mut cursor = 0;
+    for run in FlatIter::with_skip(d, count, skip) {
+        if cursor == stream.len() {
+            break;
+        }
+        let n = (run.len as usize).min(stream.len() - cursor);
+        let s = run.disp as usize;
+        dst[s..s + n].copy_from_slice(&stream[cursor..cursor + n]);
+        cursor += n;
+    }
+    cursor
+}
+
 /// Buffer size covering `count` instances of a non-negative-data type.
 fn span_of(d: &Datatype, count: u64) -> usize {
     ((count as i64 - 1) * d.extent() as i64 + d.data_ub()).max(0) as usize
 }
 
-/// compiled ≡ tree walk ≡ sharded, byte-for-byte, on the pack side.
+/// compiled ≡ tree walk, byte-for-byte, on the pack side.
 #[test]
-fn pack_compiled_treewalk_sharded_agree() {
+fn pack_compiled_treewalk_agree() {
     for seed in corpus_seeds() {
         for case in 0..CASES_PER_SEED {
             let mut rng = Rng::new(seed.rotate_left(17) ^ (case.wrapping_mul(0xD1B5)));
@@ -156,27 +168,14 @@ fn pack_compiled_treewalk_sharded_agree() {
                 "ff_pack ≠ tree walk for {d:?} skip {skip}; {}",
                 replay(seed, case)
             );
-
-            // sharded, every shard count
-            for &nsh in &SHARD_COUNTS {
-                let mut sharded = vec![0u8; want_len];
-                let n = ff_pack_shards(&src, count, &d, skip, &mut sharded, nsh);
-                assert_eq!(n, want_len, "sharded short; {}", replay(seed, case));
-                assert_eq!(
-                    sharded,
-                    walk,
-                    "{nsh}-shard pack ≠ tree walk for {d:?} skip {skip}; {}",
-                    replay(seed, case)
-                );
-            }
         }
     }
 }
 
-/// sharded unpack ≡ single-threaded unpack, byte-for-byte, for every
-/// shard count — including the positions the type never touches.
+/// `ff_unpack` ≡ tree-walk unpack, byte-for-byte — including the
+/// positions the type never touches, which both leave at `0xAA`.
 #[test]
-fn unpack_sharded_agrees_with_single() {
+fn unpack_agrees_with_treewalk() {
     for seed in corpus_seeds() {
         for case in 0..CASES_PER_SEED {
             let mut rng = Rng::new(seed.rotate_left(29) ^ (case.wrapping_mul(0xB5D1)));
@@ -192,26 +191,19 @@ fn unpack_sharded_agrees_with_single() {
                 .map(|i| (i % 239) as u8)
                 .collect();
 
-            let mut single = vec![0xAAu8; span];
-            let n = ff_unpack(&stream, &mut single, count, &d, skip);
+            let mut walk = vec![0xAAu8; span];
+            let n = treewalk_unpack(&stream, &mut walk, count, &d, skip);
+            assert_eq!(n, stream.len(), "tree walk short; {}", replay(seed, case));
+
+            let mut got = vec![0xAAu8; span];
+            let n = ff_unpack(&stream, &mut got, count, &d, skip);
+            assert_eq!(n, stream.len(), "ff_unpack short; {}", replay(seed, case));
             assert_eq!(
-                n,
-                stream.len(),
-                "single unpack short; {}",
+                got,
+                walk,
+                "ff_unpack ≠ tree walk for {d:?} skip {skip}; {}",
                 replay(seed, case)
             );
-
-            for &nsh in &SHARD_COUNTS {
-                let mut sharded = vec![0xAAu8; span];
-                let n = ff_unpack_shards(&stream, &mut sharded, count, &d, skip, nsh);
-                assert_eq!(n, stream.len(), "sharded short; {}", replay(seed, case));
-                assert_eq!(
-                    sharded,
-                    single,
-                    "{nsh}-shard unpack ≠ single for {d:?} skip {skip}; {}",
-                    replay(seed, case)
-                );
-            }
         }
     }
 }
@@ -415,76 +407,52 @@ fn normalization_pinned_shapes() {
     assert_eq!(p.rewrites(), 0, "dense vector is canonical at compile");
 }
 
-/// Shard-boundary edge cases, pinned explicitly rather than left to the
-/// random corpus: a skip landing exactly on an instance boundary, shard
-/// boundaries landing inside a block, and zero-length shards when the
-/// copy is smaller than the shard count.
+/// Skip and length edge cases, pinned explicitly rather than left to
+/// the random corpus: a skip landing exactly on an instance boundary,
+/// skips and copy ends landing inside a block, and a 3-byte copy.
+/// `ff_pack`/`ff_unpack` must match the tree walk on each.
 #[test]
-fn shard_boundary_edge_cases() {
+fn pinned_skip_edge_cases() {
+    let check = |name: &str, d: &Datatype, count: u64, skip: u64, len: usize| {
+        let span = span_of(d, count);
+        let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
+        let mut want = vec![0u8; len];
+        assert_eq!(
+            treewalk_pack(&src, count, d, skip, &mut want),
+            len,
+            "{name}"
+        );
+        let mut got = vec![0u8; len];
+        assert_eq!(ff_pack(&src, count, d, skip, &mut got), len, "{name}");
+        assert_eq!(got, want, "{name}: ff_pack ≠ tree walk");
+
+        let mut walk = vec![0xAAu8; span];
+        treewalk_unpack(&want, &mut walk, count, d, skip);
+        let mut dst = vec![0xAAu8; span];
+        assert_eq!(ff_unpack(&want, &mut dst, count, d, skip), len, "{name}");
+        assert_eq!(dst, walk, "{name}: ff_unpack ≠ tree walk");
+    };
+
     // 4 blocks of 6 bytes, stride 10 → size 24, extent 36
     let d = Datatype::vector(4, 6, 10, &Datatype::byte()).unwrap();
     let count = 5u64;
-    let span = span_of(&d, count);
-    let src: Vec<u8> = (0..span).map(|i| (i % 251) as u8).collect();
-    let total = d.size() * count;
+    let total = (d.size() * count) as usize;
 
-    // skip exactly on an instance boundary: shard 0 starts at instance 2
     let skip = 2 * d.size();
-    let mut want = vec![0u8; (total - skip) as usize];
-    ff_pack(&src, count, &d, skip, &mut want);
-    for nsh in [2usize, 3, 8] {
-        let mut got = vec![0u8; want.len()];
-        assert_eq!(
-            ff_pack_shards(&src, count, &d, skip, &mut got, nsh),
-            want.len()
-        );
-        assert_eq!(got, want, "{nsh} shards, skip on instance boundary");
+    check(
+        "skip on instance boundary",
+        &d,
+        count,
+        skip,
+        total - skip as usize,
+    );
+    check("skip inside a block", &d, count, 7, total - 7);
+    // consecutive pieces of the 120-byte stream whose every start and
+    // end falls inside a 6-byte block
+    for (skip, len) in [(0u64, 14usize), (14, 15), (29, 14), (43, 16), (59, 14)] {
+        check("copy ends inside a block", &d, count, skip, len);
     }
 
-    // 72 data bytes across 5 shards: boundaries at 14.4-byte intervals,
-    // i.e. inside 6-byte blocks, never aligned
-    let mut want = vec![0u8; total as usize];
-    ff_pack(&src, count, &d, 0, &mut want);
-    let mut got = vec![0u8; total as usize];
-    assert_eq!(ff_pack_shards(&src, count, &d, 0, &mut got, 5), want.len());
-    assert_eq!(got, want, "shard boundaries inside blocks");
-
-    // len < shards: zero-length shards must spawn no worker and copy
-    // everything exactly once
     let tiny = Datatype::vector(3, 1, 4, &Datatype::byte()).unwrap();
-    let tsrc: Vec<u8> = (0..tiny.extent() as usize).map(|i| i as u8).collect();
-    let mut want = vec![0u8; 3];
-    ff_pack(&tsrc, 1, &tiny, 0, &mut want);
-    let mut got = vec![0u8; 3];
-    assert_eq!(ff_pack_shards(&tsrc, 1, &tiny, 0, &mut got, 8), 3);
-    assert_eq!(got, want, "3-byte copy across 8 shards");
-    let mut dst = vec![0u8; tiny.extent() as usize];
-    assert_eq!(ff_unpack_shards(&want, &mut dst, 1, &tiny, 0, 8), 3);
-    let mut dst_single = vec![0u8; tiny.extent() as usize];
-    ff_unpack(&want, &mut dst_single, 1, &tiny, 0);
-    assert_eq!(dst, dst_single, "tiny sharded unpack");
-
-    // unpack shard destinations are carved at ff_offset boundaries:
-    // verify the carve math on a skip that is not block-aligned
-    let skip = 7u64;
-    let stream: Vec<u8> = (0..(total - skip) as usize).map(|i| i as u8).collect();
-    let mut single = vec![0u8; span];
-    ff_unpack(&stream, &mut single, count, &d, skip);
-    for nsh in [2usize, 3, 8] {
-        let mut sharded = vec![0u8; span];
-        assert_eq!(
-            ff_unpack_shards(&stream, &mut sharded, count, &d, skip, nsh),
-            stream.len()
-        );
-        assert_eq!(sharded, single, "{nsh}-shard unpack, unaligned skip");
-        // spot-check a boundary position really belongs to the right shard
-        let lo = stream.len() as u64 / nsh as u64;
-        if lo > 0 && lo < stream.len() as u64 {
-            let p = ff_offset(&d, skip + lo) as usize;
-            assert_eq!(
-                sharded[p], stream[lo as usize],
-                "boundary byte, {nsh} shards"
-            );
-        }
-    }
+    check("3-byte copy", &tiny, 1, 0, 3);
 }

@@ -935,11 +935,6 @@ pub struct Rule {
 pub const SIEVE_DENSITY_THRESHOLD: f64 = 0.5;
 pub const SIEVE_SMALL_BLOCK: f64 = 8192.0;
 
-/// Pack sharding only beats a single memcpy stream once per-run copies
-/// are large; below this the shard handoff overhead dominates (measured:
-/// BENCH_pack `sharded2/4` lose to single-thread at ≤ 64 KiB runs).
-pub const PACK_SHARD_MIN_BLOCK: u64 = 64 * 1024;
-
 fn rule_engine(p: &ProfileSnapshot) -> Option<Recommendation> {
     if p.view.views_set == 0 || p.view.contiguous {
         return None;
@@ -1040,42 +1035,6 @@ fn rule_cb_buffer(p: &ProfileSnapshot) -> Option<Recommendation> {
     })
 }
 
-fn rule_pack_threads(p: &ProfileSnapshot) -> Option<Recommendation> {
-    if p.runs.total == 0 && p.shape.programs == 0 {
-        return None;
-    }
-    // What sharding splits is the pack copy stream, so the granularity
-    // that matters is the compiled run-program's block size when a
-    // datatype was packed; file-placement run sizes (window-sized for
-    // dense views) are only a fallback when nothing was compiled.
-    let (granularity, source) = if p.shape.programs > 0 && p.shape.max_block > 0 {
-        (p.shape.max_block, "program block")
-    } else {
-        (p.runs.sizes.p95(), "p95 run")
-    };
-    if granularity >= PACK_SHARD_MIN_BLOCK {
-        Some(Recommendation {
-            rule: "pack_threads",
-            setting: "pack_threads=0".to_string(),
-            reason: format!(
-                "{source} size {granularity} B ≥ {PACK_SHARD_MIN_BLOCK} B: copies are \
-                 large enough that sharded packing amortizes its handoff cost — let \
-                 the engine auto-size the shard pool"
-            ),
-        })
-    } else {
-        Some(Recommendation {
-            rule: "pack_threads",
-            setting: "pack_threads=1".to_string(),
-            reason: format!(
-                "{source} size {granularity} B < {PACK_SHARD_MIN_BLOCK} B: the pack \
-                 bench shows sharded packing slower than a single stream at these \
-                 copy sizes (shard handoff dominates), so keep packing single-threaded"
-            ),
-        })
-    }
-}
-
 /// Largest block size the fixed-block pack kernels cover
 /// (`lio-datatype::kernels` classes: 2/4/8/16/32 B).
 pub const KERNEL_MAX_BLOCK: u64 = 32;
@@ -1161,12 +1120,6 @@ pub static RULES: &[Rule] = &[
         description: "size collective-buffer windows for ~4 windows per op, \
                       clamped to [64 KiB, 16 MiB]",
         apply: rule_cb_buffer,
-    },
-    Rule {
-        name: "pack_threads",
-        description: "shard packing only when the pack-copy granularity amortizes the \
-                      handoff cost; otherwise single-threaded",
-        apply: rule_pack_threads,
     },
     Rule {
         name: "pack_kernel",
@@ -1302,7 +1255,7 @@ pub mod fixtures {
     }
 
     /// Fig5 shape: sparse large-block independent access where direct
-    /// I/O and large-copy sharding win.
+    /// I/O wins.
     pub fn fig5_independent_sparse_large() -> ProfileSnapshot {
         ProfileSnapshot {
             ops: vec![
@@ -1477,8 +1430,6 @@ mod tests {
         assert!(pipe.reason.contains("exchange-bound"));
         // non-contiguous view → listless
         assert_eq!(by_rule("engine").setting, "engine=listless");
-        // 1 KiB runs → single-threaded packing
-        assert_eq!(by_rule("pack_threads").setting, "pack_threads=1");
         // span 4 MiB/op → 1 MiB windows
         assert!(by_rule("cb_buffer_size").setting.contains("1048576"));
         // 1 KiB blocks sit above the fixed-block kernel classes
@@ -1495,8 +1446,6 @@ mod tests {
         // density 0.125, 1 MiB blocks → direct access
         let sieve = by_rule("sieving").expect("sieving rule fires");
         assert_eq!(sieve.setting, "sieving=direct");
-        // 1 MiB runs ≥ 64 KiB → auto shard pool
-        assert_eq!(by_rule("pack_threads").unwrap().setting, "pack_threads=0");
         // no collective traffic → no pipelining or cb recommendation
         assert!(by_rule("pipelining").is_none());
         assert!(by_rule("cb_buffer_size").is_none());
@@ -1526,7 +1475,6 @@ mod tests {
             "engine",
             "pipelining",
             "cb_buffer_size",
-            "pack_threads",
             "pack_kernel",
             "sieving",
         ] {
